@@ -89,6 +89,8 @@ class InferenceConfig:
             raise ValueError("burn_in must be in [0, iterations)")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.kept_per_chain < 1:
+            raise ValueError("(iterations - burn_in) // thin must keep at least one sample")
         if not 0.0 <= self.prior_prob <= 1.0:
             raise ValueError("prior_prob must be in [0, 1]")
         if not 0.0 <= self.flip_prob < 1.0:

@@ -9,14 +9,30 @@ disposition out over its uniform prior gives an exact posterior density up to
 quadrature error.
 
 Gauss-Legendre panels are placed so that no integrand kink crosses a panel:
-the truth axis splits at zero (the clamp) and at the contest bound where the
-win probability changes branch.
+the politics axis splits at the agent's own politics (the discount kink), the
+truth axis at zero (the clamp) and at the contest bound where the win
+probability changes branch.
+
+The truth axis enters only through the expected win probability, a function
+of the scalar agent bound ``b`` and the outlet's truth profile. It is taken
+one of two ways, chosen by the input:
+
+- When every reachable bound is positive, from a Chebyshev interpolant in
+  ``b`` over ``[min analytic - discount_scale, max analytic]``, fitted once
+  per truth profile and accepted only if it matches the direct rule to
+  ``1e-14`` on a dense check grid. No degree up to the cap passing means
+  the direct rule is used.
+- When the bound can reach zero, by the direct panelled rule on every
+  element: there the clamp puts a ``b log b`` kink in the integrand.
+
+The weight table exploits that the per-item weight is even in agent
+politics: only the upper half of the grid is computed and mirrored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -38,6 +54,14 @@ MIN_EMISSION_NODES = 64
 MIN_ANALYTIC_NODES = 32
 
 _SPAN_SDS = 6.0  # integration half-width around each emission mean, in sds
+
+_FIT_DEGREES = (8, 12, 16, 24, 32, 48, 64)
+_FIT_TOLERANCE = 1e-14  # max abs error against the direct rule on the check grid
+_FIT_CHECK_POINTS = 2049
+# Grid rows per block. The direct rule's (rows, analytic, politics, truth)
+# temporaries set the peak resident set; at 8 rows and the default node
+# counts each is about 8 MB.
+_CHUNK_ROWS = 8
 
 
 def _norm_cdf(x: float) -> float:
@@ -70,6 +94,13 @@ def _emission_components(env: MediaEnvironment) -> list[tuple[float, float, obje
     return comps
 
 
+def _truth_mass(truth_mean: float, truth_sd: float) -> float:
+    """Normal mass of the truth integration span; independent of the agent."""
+    lo = truth_mean - _SPAN_SDS * truth_sd
+    hi = truth_mean + _SPAN_SDS * truth_sd
+    return _norm_cdf((hi - truth_mean) / truth_sd) - _norm_cdf((lo - truth_mean) / truth_sd)
+
+
 def _expected_win_probability(
     b_agent: np.ndarray, truth_mean: float, truth_sd: float, truth_nodes: int
 ) -> tuple[np.ndarray, float]:
@@ -82,7 +113,7 @@ def _expected_win_probability(
     """
     lo = truth_mean - _SPAN_SDS * truth_sd
     hi = truth_mean + _SPAN_SDS * truth_sd
-    mass = _norm_cdf((hi - truth_mean) / truth_sd) - _norm_cdf((lo - truth_mean) / truth_sd)
+    mass = _truth_mass(truth_mean, truth_sd)
     t0 = max(0.0, lo)
     if hi <= t0:
         return np.zeros_like(b_agent), mass
@@ -106,6 +137,51 @@ def _expected_win_probability(
     return low + high, mass
 
 
+@lru_cache(maxsize=32)
+def _win_probability_fit(
+    truth_mean: float, truth_sd: float, truth_nodes: int, b_low: float, b_high: float
+) -> tuple[np.polynomial.Chebyshev, float] | None:
+    """Chebyshev interpolant of the expected win probability on [b_low, b_high].
+
+    Returns the interpolant of the lowest degree whose max abs error against
+    the direct rule on a dense check grid is within ``_FIT_TOLERANCE``, with
+    that error, or None if no degree up to the cap passes.
+    """
+
+    def direct(b: np.ndarray) -> np.ndarray:
+        return _expected_win_probability(b, truth_mean, truth_sd, truth_nodes)[0]
+
+    check = np.linspace(b_low, b_high, _FIT_CHECK_POINTS)
+    exact = direct(check)
+    for degree in _FIT_DEGREES:
+        fit = np.polynomial.Chebyshev.interpolate(direct, degree, domain=[b_low, b_high])
+        max_err = float(np.max(np.abs(fit(check) - exact)))
+        if max_err <= _FIT_TOLERANCE:
+            return fit, max_err
+    return None
+
+
+def _truth_axis_fits(
+    env: MediaEnvironment, params: ModelParams, agent_analytic: np.ndarray, truth_nodes: int
+) -> list[tuple[np.polynomial.Chebyshev, float] | None]:
+    """Per emission component, the verified interpolant or None (direct rule).
+
+    The agent bound is ``analytic - discount`` with the discount in
+    ``(0, discount_scale]``, so the analytic values fix its range. A range
+    that reaches zero, where the bound is clamped, always takes the direct
+    rule.
+    """
+    b_low = float(agent_analytic.min()) - params.discount_scale
+    b_high = float(agent_analytic.max())
+    comps = _emission_components(env)
+    if not 0.0 < b_low < b_high:
+        return [None] * len(comps)
+    return [
+        _win_probability_fit(outlet.truth_mean, outlet.truth_sd, truth_nodes, b_low, b_high)
+        for _, _, outlet in comps
+    ]
+
+
 def expected_weight_matrix(
     agent_politics: np.ndarray,
     agent_analytic: np.ndarray,
@@ -114,7 +190,6 @@ def expected_weight_matrix(
     *,
     politics_nodes: int = 64,
     truth_nodes: int = 64,
-    chunk: int = 32,
 ) -> np.ndarray:
     """Per-item expected likelihood weight on a (politics x analytic) grid.
 
@@ -128,13 +203,15 @@ def expected_weight_matrix(
     a_a = np.atleast_1d(np.asarray(agent_analytic, dtype=float))
     out = np.zeros((p_a.size, a_a.size))
     x01, w01 = _gl_unit(politics_nodes)
+    fits = _truth_axis_fits(env, params, a_a, truth_nodes)
 
-    for share, mean, outlet in _emission_components(env):
+    for (share, mean, outlet), fit in zip(_emission_components(env), fits):
         span = _SPAN_SDS * outlet.politics_sd
         lo = mean - span
         hi = mean + span
-        for start in range(0, p_a.size, chunk):
-            pa = p_a[start : start + chunk]  # (C,)
+        mass = _truth_mass(outlet.truth_mean, outlet.truth_sd)
+        for start in range(0, p_a.size, _CHUNK_ROWS):
+            pa = p_a[start : start + _CHUNK_ROWS]  # (C,)
             pa3 = pa[:, None, None]
             aa = a_a[None, :, None]  # (1,A,1)
             cut = np.clip(pa, lo, hi)
@@ -145,13 +222,16 @@ def expected_weight_matrix(
                 pn3 = p_news[:, None, :]
                 discount = params.discount_scale * params.discount_base ** np.abs(pn3 - pa3)
                 b_agent = np.maximum(0.0, aa - discount)  # (C,A,P)
-                q, mass = _expected_win_probability(
-                    b_agent, outlet.truth_mean, outlet.truth_sd, truth_nodes
-                )
+                if fit is None:
+                    q = _expected_win_probability(
+                        b_agent, outlet.truth_mean, outlet.truth_sd, truth_nodes
+                    )[0]
+                else:
+                    q = fit[0](b_agent)
                 phi_keep = _norm_pdf(pn3 - pa3, params.likelihood_sd)
                 phi_flip = _norm_pdf(-pn3 - pa3, params.likelihood_sd)
                 integrand = q * phi_keep + (mass - q) * phi_flip
-                out[start : start + chunk] += share * (
+                out[start : start + _CHUNK_ROWS] += share * (
                     integrand * g_p[:, None, :]
                 ).sum(axis=-1)
     return out
@@ -192,6 +272,7 @@ class PosteriorGrid:
     truth_nodes: int
     analytic_nodes: int
     tail_mass_bound: float
+    truth_axis: str
 
     @property
     def density(self) -> np.ndarray:
@@ -199,18 +280,7 @@ class PosteriorGrid:
 
     def mirrored(self) -> "PosteriorGrid":
         """The same grid reflected through politics = 0 (for symmetry checks)."""
-        return PosteriorGrid(
-            self.grid,
-            self.log_density[::-1].copy(),
-            self.env_name,
-            self.n_obs,
-            self.params,
-            self.grid_points,
-            self.politics_nodes,
-            self.truth_nodes,
-            self.analytic_nodes,
-            self.tail_mass_bound,
-        )
+        return replace(self, log_density=self.log_density[::-1].copy())
 
 
 @lru_cache(maxsize=8)
@@ -222,21 +292,41 @@ def _weight_table(
     politics_nodes: int,
     truth_nodes: int,
     analytic_nodes: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid, analytic-node log weights, and log per-item weight matrix.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """Grid, analytic-node log weights, log per-item weight matrix, and the
+    truth-axis method used.
 
     The weight matrix is independent of the observation count, so posteriors
-    for different counts share one table per environment and resolution.
+    for different counts share one table per environment and resolution. The
+    per-item weight is even in agent politics, so only the rows from the
+    grid's middle up are computed; the rest mirror them.
     """
     grid = np.linspace(-grid_halfwidth, grid_halfwidth, grid_points)
     x01, w01 = _gl_unit(analytic_nodes)
     lo, hi = params.analytic_low, params.analytic_high
     a_nodes = lo + (hi - lo) * x01
     a_weights = (hi - lo) * w01
-    w_matrix = expected_weight_matrix(
-        grid, a_nodes, env, params, politics_nodes=politics_nodes, truth_nodes=truth_nodes
+    upper = expected_weight_matrix(
+        grid[grid_points // 2 :],
+        a_nodes,
+        env,
+        params,
+        politics_nodes=politics_nodes,
+        truth_nodes=truth_nodes,
     )
-    return grid, np.log(a_weights), np.log(w_matrix)
+    w_matrix = np.concatenate((upper[grid_points % 2 :][::-1], upper))
+    truth_axis = _describe_truth_axis(_truth_axis_fits(env, params, a_nodes, truth_nodes))
+    return grid, np.log(a_weights), np.log(w_matrix), truth_axis
+
+
+def _describe_truth_axis(fits: list[tuple[np.polynomial.Chebyshev, float] | None]) -> str:
+    """``direct`` if any component takes the direct rule, else the largest
+    interpolant degree and check error over the components."""
+    if any(fit is None for fit in fits):
+        return "direct"
+    degree = max(fit[0].degree() for fit in fits)
+    max_err = max(fit[1] for fit in fits)
+    return f"chebyshev deg={degree} max_err={max_err:.2g}"
 
 
 def posterior(
@@ -264,7 +354,7 @@ def posterior(
         raise ValueError("grid needs at least 3 points")
 
     lo, hi = params.analytic_low, params.analytic_high
-    grid, log_a_weights, log_w_matrix = _weight_table(
+    grid, log_a_weights, log_w_matrix, truth_axis = _weight_table(
         env, params, grid_points, grid_halfwidth, politics_nodes, truth_nodes, analytic_nodes
     )
     # Integrate the analytic disposition out in log space; the per-item
@@ -305,6 +395,7 @@ def posterior(
         truth_nodes=truth_nodes,
         analytic_nodes=analytic_nodes,
         tail_mass_bound=float(tail),
+        truth_axis=truth_axis,
     )
 
 
@@ -354,6 +445,7 @@ def write_grid_csv(grid: PosteriorGrid, path: str | Path) -> None:
         f"# grid_points={grid.grid_points}",
         f"# politics_nodes={grid.politics_nodes}",
         f"# truth_nodes={grid.truth_nodes}",
+        f"# truth_axis={grid.truth_axis}",
         f"# analytic_nodes={grid.analytic_nodes}",
         f"# tail_mass_bound={grid.tail_mass_bound!r}",
         "p_a,density",

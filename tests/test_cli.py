@@ -154,6 +154,19 @@ class TestExitCodes:
         assert code == 2
         assert "observation_counts" in capsys.readouterr().err
 
+    def test_budget_that_keeps_no_samples_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        budget = {"n_chains": 4, "iterations": 10, "burn_in": 5, "thin": 10}
+        path.write_text(json.dumps({"inference_by_n": {"1": budget}}))
+        out = tmp_path / "o"
+        code = run_cli(
+            "mcmc", "--config", str(path), "--env", "ME1", "--observations", "1",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "inference_by_n.1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
 
@@ -268,6 +281,21 @@ class TestOracleMode:
         metrics = json.loads((out / "ME1_1_metrics.json").read_text())
         assert metrics["bimodal"] is False
         assert metrics["moderate_band_mass"] == pytest.approx(0.580653, abs=1e-3)
+
+    def test_count_without_validation_tolerance(self, tmp_path):
+        out = tmp_path / "o"
+        code = run_cli(
+            "oracle", "--env", "ME1", "--observations", "2", "--grid-points", "21",
+            "--out", str(out),
+        )
+        assert code == 0
+        manifest = read_manifest(out)
+        assert manifest["complete"] is True
+        assert "error" not in manifest
+        assert "validation" not in manifest
+        assert set(manifest["cells"]) == {"ME1_2"}
+        for key in ("oracle_csv", "metrics_json"):
+            assert (out / manifest["cells"]["ME1_2"][key]).is_file()
 
 
 class TestValidateMode:

@@ -94,6 +94,7 @@ class TestInferenceConfig:
             {"flip_prob": 1.0},
             {"walk_scale": 0.0},
             {"workers": 0},
+            {"iterations": 10, "burn_in": 5, "thin": 10},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -108,12 +109,16 @@ class TestInferenceConfig:
     def test_kept_count_matches_keep_rule(self, iterations, burn_in, thin):
         if burn_in >= iterations:
             burn_in = iterations - 1
-        cfg = InferenceConfig(iterations=iterations, burn_in=burn_in, thin=thin)
         explicit = sum(
             1
             for i in range(iterations)
             if i >= burn_in and (i - burn_in + 1) % thin == 0
         )
+        if explicit == 0:
+            with pytest.raises(ValueError, match="at least one sample"):
+                InferenceConfig(iterations=iterations, burn_in=burn_in, thin=thin)
+            return
+        cfg = InferenceConfig(iterations=iterations, burn_in=burn_in, thin=thin)
         assert cfg.kept_per_chain == explicit == (iterations - burn_in) // thin
 
 

@@ -1,20 +1,61 @@
 """Tests for the quadrature posterior against independent routes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polarsim import oracle
-from polarsim.model import ME1, ME2, ME3, ModelParams
+from polarsim.model import (
+    ME1,
+    ME2,
+    ME3,
+    PREMIUM_CENTRIST,
+    PREMIUM_PARTISAN,
+    FAKE_NEWS_PARTISAN,
+    MediaEnvironment,
+    ModelParams,
+)
 
 PARAMS = ModelParams()
+
+HARSH = MediaEnvironment(
+    "harsh",
+    (0.2, 0.2, 0.6),
+    (PREMIUM_CENTRIST, PREMIUM_PARTISAN, replace(FAKE_NEWS_PARTISAN, truth_sd=0.3)),
+)
 
 WEIGHT_PEAK = 1.0 / (0.25 * math.sqrt(2.0 * math.pi))
 
 
 def norm_pdf(x, sd=1.0):
     return np.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+
+def direct_weight_matrix(p_a, a_a, env, params, nodes=64):
+    """Reference: the expected weight with the direct truth-axis rule on
+    every element, as a plain loop over grid rows."""
+    out = np.zeros((p_a.size, a_a.size))
+    x01, w01 = oracle._gl_unit(nodes)
+    for share, mean, outlet in oracle._emission_components(env):
+        lo = mean - 6.0 * outlet.politics_sd
+        hi = mean + 6.0 * outlet.politics_sd
+        for row, pa in enumerate(p_a):
+            cut = min(max(pa, lo), hi)
+            for left, right in ((lo, cut), (cut, hi)):
+                p_news = left + (right - left) * x01
+                g_p = (right - left) * w01 * norm_pdf(p_news - mean, outlet.politics_sd)
+                pn = p_news[None, :]
+                discount = params.discount_scale * params.discount_base ** np.abs(pn - pa)
+                b_agent = np.maximum(0.0, a_a[:, None] - discount)
+                q, mass = oracle._expected_win_probability(
+                    b_agent, outlet.truth_mean, outlet.truth_sd, nodes
+                )
+                keep = norm_pdf(pn - pa, params.likelihood_sd)
+                flip = norm_pdf(-pn - pa, params.likelihood_sd)
+                out[row] += share * ((q * keep + (mass - q) * flip) * g_p).sum(axis=-1)
+    return out
 
 
 class TestExpectedWeight:
@@ -60,6 +101,68 @@ class TestExpectedWeight:
             oracle.expected_weight(0.0, 0.8, ME1, PARAMS, politics_nodes=32)
         with pytest.raises(ValueError):
             oracle.expected_weight(0.0, 0.8, ME1, PARAMS, truth_nodes=16)
+
+
+class TestTruthAxis:
+    @pytest.mark.parametrize("truth_mean, truth_sd", [(0.8, 0.2), (0.4, 0.5), (0.4, 0.3)])
+    def test_interpolant_matches_direct_rule(self, truth_mean, truth_sd):
+        b_low = PARAMS.analytic_low - PARAMS.discount_scale
+        b_high = PARAMS.analytic_high
+        fit = oracle._win_probability_fit(truth_mean, truth_sd, 64, b_low, b_high)
+        assert fit is not None
+        interpolant, max_err = fit
+        assert max_err <= 1e-14
+        b = np.linspace(b_low, b_high, 10_007)
+        exact, _ = oracle._expected_win_probability(b, truth_mean, truth_sd, 64)
+        assert float(np.max(np.abs(interpolant(b) - exact))) <= 1e-13
+
+    def test_builtin_environments_use_the_interpolant(self):
+        analytic = np.linspace(PARAMS.analytic_low, PARAMS.analytic_high, 5)
+        for env in (ME1, ME2, ME3, HARSH):
+            fits = oracle._truth_axis_fits(env, PARAMS, analytic, 64)
+            assert all(fit is not None for fit in fits)
+
+    @pytest.mark.parametrize("analytic_low", [0.1, 0.2])
+    def test_direct_rule_where_the_bound_reaches_zero(self, analytic_low):
+        params = ModelParams(analytic_low=analytic_low)
+        politics = np.linspace(-2.0, 2.0, 5)
+        analytic = np.linspace(analytic_low, 1.0, 4)
+        for env in (ME2, HARSH):
+            assert oracle._truth_axis_fits(env, params, analytic, 64) == [None] * 5
+            np.testing.assert_array_equal(
+                oracle.expected_weight_matrix(politics, analytic, env, params),
+                direct_weight_matrix(politics, analytic, env, params),
+            )
+
+    def test_interpolant_weights_match_direct_rule(self):
+        politics = np.linspace(-2.0, 2.0, 5)
+        analytic = np.linspace(PARAMS.analytic_low, PARAMS.analytic_high, 4)
+        np.testing.assert_allclose(
+            oracle.expected_weight_matrix(politics, analytic, ME3, PARAMS),
+            direct_weight_matrix(politics, analytic, ME3, PARAMS),
+            rtol=1e-13,
+        )
+
+    @pytest.mark.parametrize("grid_points", [20, 21])
+    def test_mirrored_table_matches_full_grid(self, grid_points):
+        grid, log_a_weights, log_w, truth_axis = oracle._weight_table(
+            ME2, PARAMS, grid_points, 4.0, 64, 64, 32
+        )
+        x01, _ = oracle._gl_unit(32)
+        analytic = PARAMS.analytic_low + (PARAMS.analytic_high - PARAMS.analytic_low) * x01
+        full = oracle.expected_weight_matrix(grid, analytic, ME2, PARAMS)
+        assert log_w.shape == (grid_points, 32)
+        np.testing.assert_allclose(np.exp(log_w), full, rtol=1e-12)
+        assert truth_axis.startswith("chebyshev deg=")
+
+    def test_grid_records_truth_axis_method(self):
+        g = oracle.posterior(HARSH, ModelParams(analytic_low=0.1), 1, grid_points=5)
+        assert g.truth_axis == "direct"
+        g = oracle.posterior(HARSH, PARAMS, 1, grid_points=5)
+        method, degree, max_err = g.truth_axis.split()
+        assert method == "chebyshev"
+        assert int(degree.removeprefix("deg=")) <= 64
+        assert float(max_err.removeprefix("max_err=")) <= 1e-14
 
 
 class TestPosterior:
@@ -130,8 +233,9 @@ class TestGridCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "# env=ME2"
         assert lines[1] == "# n_obs=1"
-        assert lines[7] == "p_a,density"
-        body = [line.split(",") for line in lines[8:]]
+        assert lines[5].startswith("# truth_axis=chebyshev deg=")
+        assert lines[8] == "p_a,density"
+        body = [line.split(",") for line in lines[9:]]
         assert len(body) == 801
         parsed_p = np.array([float(p) for p, _ in body])
         parsed_d = np.array([float(d) for _, d in body])

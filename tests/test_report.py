@@ -30,6 +30,7 @@ def toy_grid(x, density, env_name="toy", n_obs=0):
         truth_nodes=0,
         analytic_nodes=0,
         tail_mass_bound=0.0,
+        truth_axis="none",
     )
 
 
