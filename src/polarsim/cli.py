@@ -142,6 +142,14 @@ class ExperimentConfig:
         return replace(self.inference, **self.inference_by_n.get(n_obs, {}))
 
 
+def _require(value, kind: type, key: str, what: str):
+    """``value`` if it is a ``kind`` (bools are not integers), else a usage
+    error naming ``key``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise UsageError(f"{key}: need {what}")
+    return value
+
+
 def _parse_environment(entry: "str | dict") -> MediaEnvironment:
     if isinstance(entry, str):
         if entry not in BUILTIN_ENVIRONMENTS:
@@ -158,9 +166,11 @@ def _parse_environment(entry: "str | dict") -> MediaEnvironment:
     if "name" not in entry or "weights" not in entry:
         raise UsageError("environments: custom entries need 'name' and 'weights'")
     outlets = list(_DEFAULT_OUTLETS)
-    for slot, overrides in (entry.get("outlets") or {}).items():
+    slots = _require(entry.get("outlets") or {}, dict, "environments.outlets", "an object")
+    for slot, overrides in slots.items():
         if slot not in _OUTLET_SLOTS:
             raise UsageError(f"environments.outlets: unknown outlet {slot!r}")
+        _require(overrides, dict, f"environments.outlets.{slot}", "an object")
         bad = set(overrides) - set(_OUTLET_NUMERIC_FIELDS)
         if bad:
             raise UsageError(f"environments.outlets.{slot}: unknown keys {sorted(bad)}")
@@ -182,6 +192,7 @@ def _parse_environment(entry: "str | dict") -> MediaEnvironment:
 
 
 def _build_section(name: str, cls, defaults, raw: dict, allowed: tuple):
+    _require(raw, dict, name, "an object")
     unknown = set(raw) - set(allowed)
     if unknown:
         raise UsageError(f"{name}: unknown keys {sorted(unknown)}")
@@ -208,17 +219,23 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise UsageError(f"config: unknown keys {sorted(unknown)}")
 
     environments = tuple(
-        _parse_environment(e) for e in data.get("environments", sorted(BUILTIN_ENVIRONMENTS))
+        _parse_environment(e)
+        for e in _require(
+            data.get("environments", sorted(BUILTIN_ENVIRONMENTS)),
+            list,
+            "environments",
+            "a list of names or objects",
+        )
     )
     params = _build_section(
         "model", ModelParams, ModelParams(), data.get("model", {}), _MODEL_FIELDS
     )
+    inference_raw = _require(data.get("inference", {}), dict, "inference", "an object")
+    for key in _SCHEDULE_FIELDS:
+        if key in inference_raw:
+            _require(inference_raw[key], int, f"inference.{key}", "an integer")
     inference = _build_section(
-        "inference",
-        InferenceConfig,
-        InferenceConfig(),
-        data.get("inference", {}),
-        _INFERENCE_FIELDS,
+        "inference", InferenceConfig, InferenceConfig(), inference_raw, _INFERENCE_FIELDS
     )
 
     inference_by_n: dict[int, dict[str, int]] = {
@@ -226,20 +243,25 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     }
     if "inference_by_n" in data:
         inference_by_n = {}
-        for key, overrides in data["inference_by_n"].items():
+        by_n = _require(data["inference_by_n"], dict, "inference_by_n", "an object")
+        for key, overrides in by_n.items():
             try:
                 count = int(key)
             except ValueError as exc:
                 raise UsageError(f"inference_by_n: bad count {key!r}") from exc
+            _require(overrides, dict, f"inference_by_n.{key}", "an object")
             unknown = set(overrides) - set(_SCHEDULE_FIELDS)
             if unknown:
                 raise UsageError(f"inference_by_n.{key}: unknown keys {sorted(unknown)}")
-            inference_by_n[count] = {k: int(v) for k, v in overrides.items()}
+            inference_by_n[count] = {
+                k: _require(v, int, f"inference_by_n.{key}.{k}", "an integer")
+                for k, v in overrides.items()
+            }
 
     observation_counts = data.get("observation_counts", list(DEFAULT_OBSERVATION_COUNTS))
     mode = data.get("mode", "both")
     grid_points = data.get("grid_points", 801)
-    out_dir = Path(data.get("out_dir", "out"))
+    out_dir = Path(_require(data.get("out_dir", "out"), str, "out_dir", "a path string"))
     seed = data.get("seed")
     workers = data.get("workers")
 
@@ -275,9 +297,9 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
     overrides = dict(budget_flags)
     if seed is not None:
-        overrides["seed"] = int(seed)
+        overrides["seed"] = _require(seed, int, "seed", "an integer")
     if workers is not None:
-        overrides["workers"] = int(workers)
+        overrides["workers"] = _require(workers, int, "workers", "an integer")
     if overrides:
         try:
             inference = replace(inference, **overrides)
@@ -289,12 +311,13 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if mode not in MODES:
         raise UsageError(f"mode: must be one of {', '.join(MODES)}")
 
-    try:
-        observation_counts = tuple(int(n) for n in observation_counts)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"observation_counts: {exc}") from exc
+    what = "a list of non-negative integers"
+    observation_counts = tuple(
+        _require(n, int, "observation_counts", what)
+        for n in _require(observation_counts, list, "observation_counts", what)
+    )
     if not observation_counts or any(n < 0 for n in observation_counts):
-        raise UsageError("observation_counts: need non-negative integers")
+        raise UsageError(f"observation_counts: need {what}")
     if len(set(observation_counts)) != len(observation_counts):
         raise UsageError("observation_counts: duplicate counts")
     if not environments:

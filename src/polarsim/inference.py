@@ -132,8 +132,6 @@ class SampleSet:
     n_obs: int
     config: InferenceConfig
     acceptance_rate: float
-    n_flips: int
-    chain_politics_means: np.ndarray
 
     @property
     def politics(self) -> np.ndarray:
@@ -155,7 +153,8 @@ def run_chain(
 
     State is kept as plain floats with per-step caches (judged politics and
     the news contest draw of every step), so a step-site proposal recomputes
-    one step and an agent-site proposal recomputes all steps vectorized.
+    one step and an agent-site proposal recomputes all steps, vectorized
+    from 8 steps up.
     The incremental log weight is cross-checked against a full replay in the
     test suite.
     """
@@ -318,7 +317,25 @@ def run_chain(
                 else:
                     pa_new = p_agent
                     aa_new = a_low + a_span * new
-                if like_on and n_obs:
+                if like_on and 0 < n_obs < 8:
+                    # Plain floats for short sequences. NumPy's pairwise sum
+                    # also adds fewer than 8 terms in order, so the log
+                    # weight is bitwise equal to the array path below; the
+                    # bound may differ from NumPy's vectorized power in the
+                    # last bit, but it only enters a comparison.
+                    lf = []
+                    new_lw = 0.0
+                    for s in range(n_obs):
+                        p_n = p_news[s]
+                        b_a = aa_new - ds * db ** abs(p_n - pa_new)
+                        if b_a < 0.0:
+                            b_a = 0.0
+                        p_j = p_n if x_news[s] > vals[7 + 6 * s] * b_a else -p_n
+                        zz = (p_j - pa_new) * inv_sd
+                        f = f_const - 0.5 * zz * zz
+                        lf.append(f)
+                        new_lw += f
+                elif like_on and n_obs:
                     pn = np.array(p_news)
                     b_a_vec = aa_new - ds * db ** np.abs(pn - pa_new)
                     np.maximum(b_a_vec, 0.0, out=b_a_vec)
@@ -337,7 +354,7 @@ def run_chain(
                     a_agent = aa_new
                     log_weight = new_lw
                     if lf is not None:
-                        logf = lf.tolist()
+                        logf = lf if n_obs < 8 else lf.tolist()
                 else:
                     vals[j] = old
 
@@ -390,8 +407,6 @@ def sample_posterior(
         n_obs=n_obs,
         config=config,
         acceptance_rate=total_acc / total_props if total_props else 0.0,
-        n_flips=sum(r.n_flips for r in results),
-        chain_politics_means=np.array([float(r.samples[:, 0].mean()) for r in results]),
     )
 
 

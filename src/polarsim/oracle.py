@@ -13,17 +13,19 @@ the politics axis splits at the agent's own politics (the discount kink), the
 truth axis at zero (the clamp) and at the contest bound where the win
 probability changes branch.
 
-The truth axis enters only through the expected win probability, a function
-of the scalar agent bound ``b`` and the outlet's truth profile. It is taken
-one of two ways, chosen by the input:
-
-- When every reachable bound is positive, from a Chebyshev interpolant in
-  ``b`` over ``[min analytic - discount_scale, max analytic]``, fitted once
-  per truth profile and accepted only if it matches the direct rule to
-  ``1e-14`` on a dense check grid. No degree up to the cap passing means
-  the direct rule is used.
-- When the bound can reach zero, by the direct panelled rule on every
-  element: there the clamp puts a ``b log b`` kink in the integrand.
+The truth axis enters only through the expected win probability, a function of
+the scalar agent bound ``b`` and the outlet's truth profile. Above the bound
+the win probability is ``1 - b / (2 t)``, whose pole at ``t = 0`` lies only
+``b`` from the panel; the pole is integrated in closed form, so the direct
+rule stays accurate as ``b -> 0``. Where the truth span reaches zero, the
+expected win probability is then ``S(b) + (phi(0) / 2) b ln b`` with ``S``
+smooth and ``phi(0)`` the truth density at zero. It is read from a Chebyshev
+interpolant in ``b`` over ``[max(0, min analytic - discount_scale), max
+analytic]``, fitted once per truth profile and accepted only if it matches the
+direct rule to ``1e-14`` on a dense check grid. The interpolant is of the
+probability itself where that passes; otherwise, when the truth span reaches
+zero, it is of ``S`` with the ``b ln b`` term added back. No degree up to the
+cap passing means the direct rule is used.
 
 The weight table exploits that the per-item weight is even in agent
 politics: only the upper half of the grid is computed and mirrored.
@@ -109,7 +111,8 @@ def _expected_win_probability(
     Integrates truth over [mean - 6 sd, mean + 6 sd]. Negative truth gives a
     zero news bound and never wins, so only the positive part contributes;
     that part is split at ``b_agent`` where the win probability changes
-    branch, keeping each panel analytic.
+    branch, keeping each panel analytic, and the ``1 / t`` pole of the upper
+    branch is integrated in closed form.
     """
     lo = truth_mean - _SPAN_SDS * truth_sd
     hi = truth_mean + _SPAN_SDS * truth_sd
@@ -128,53 +131,93 @@ def _expected_win_probability(
     q_low = t_low / (2.0 * b_safe)
     low = (width_low[..., None] * w * q_low * _norm_pdf(t_low - truth_mean, truth_sd)).sum(axis=-1)
 
-    # Panel above the bound: win prob 1 - b / (2 t); interior nodes keep t > 0.
+    # Panel above the bound: win prob 1 - b / (2 t). Its pole at t = 0 is
+    # split off, (1 - b/2t) phi(t) = phi(t) - (b/2) (phi(t) - phi(0)) / t
+    # - (b/2) phi(0) / t: the nodes take the smooth part, the last term is
+    # integrated exactly. Interior nodes keep t > 0.
     width_high = hi - b_cut
     t_high = b_cut[..., None] + width_high[..., None] * x
-    q_high = 1.0 - b_agent[..., None] / (2.0 * t_high)
-    high = (width_high[..., None] * w * q_high * _norm_pdf(t_high - truth_mean, truth_sd)).sum(axis=-1)
+    phi_high = _norm_pdf(t_high - truth_mean, truth_sd)
+    phi_zero = _norm_pdf(-truth_mean, truth_sd)
+    half_b = 0.5 * b_agent
+    smooth = phi_high - half_b[..., None] * (phi_high - phi_zero) / t_high
+    high = (width_high[..., None] * w * smooth).sum(axis=-1)
+    high -= half_b * phi_zero * np.log(hi / np.where(b_agent > 0.0, b_cut, hi))
 
     return low + high, mass
+
+
+def _xlogx(b: np.ndarray) -> np.ndarray:
+    """``b ln b``, 0 at ``b = 0``."""
+    return b * np.log(np.maximum(b, np.finfo(float).tiny))
+
+
+@dataclass(frozen=True)
+class _WinProbabilityFit:
+    """A verified interpolant of the expected win probability: ``poly(b)``
+    plus ``kink * b ln b``, with ``kink`` 0 when the probability itself is
+    fitted."""
+
+    poly: np.polynomial.Chebyshev
+    kink: float
+    max_err: float
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        q = self.poly(b)
+        if self.kink:
+            q += self.kink * _xlogx(b)
+        return q
 
 
 @lru_cache(maxsize=32)
 def _win_probability_fit(
     truth_mean: float, truth_sd: float, truth_nodes: int, b_low: float, b_high: float
-) -> tuple[np.polynomial.Chebyshev, float] | None:
+) -> _WinProbabilityFit | None:
     """Chebyshev interpolant of the expected win probability on [b_low, b_high].
 
     Returns the interpolant of the lowest degree whose max abs error against
-    the direct rule on a dense check grid is within ``_FIT_TOLERANCE``, with
-    that error, or None if no degree up to the cap passes.
+    the direct rule on a dense check grid is within ``_FIT_TOLERANCE``, or
+    None if no degree up to the cap passes. The probability itself is tried
+    first. When the truth span reaches zero, the probability is
+    ``S(b) + (phi(0) / 2) b ln b`` with ``S`` smooth; the ``b ln b`` term is
+    smooth on a domain that starts above zero, but only barely so when it
+    starts near zero, so ``S`` is fitted next.
     """
 
     def direct(b: np.ndarray) -> np.ndarray:
         return _expected_win_probability(b, truth_mean, truth_sd, truth_nodes)[0]
 
+    kinks = [0.0]
+    if truth_mean - _SPAN_SDS * truth_sd <= 0.0:
+        kinks.append(0.5 * float(_norm_pdf(-truth_mean, truth_sd)))
     check = np.linspace(b_low, b_high, _FIT_CHECK_POINTS)
     exact = direct(check)
-    for degree in _FIT_DEGREES:
-        fit = np.polynomial.Chebyshev.interpolate(direct, degree, domain=[b_low, b_high])
-        max_err = float(np.max(np.abs(fit(check) - exact)))
-        if max_err <= _FIT_TOLERANCE:
-            return fit, max_err
+    for kink in kinks:
+
+        def smooth(b: np.ndarray) -> np.ndarray:
+            return direct(b) - kink * _xlogx(b)
+
+        check_kink = kink * _xlogx(check)
+        for degree in _FIT_DEGREES:
+            poly = np.polynomial.Chebyshev.interpolate(smooth, degree, domain=[b_low, b_high])
+            max_err = float(np.max(np.abs(poly(check) + check_kink - exact)))
+            if max_err <= _FIT_TOLERANCE:
+                return _WinProbabilityFit(poly, kink, max_err)
     return None
 
 
 def _truth_axis_fits(
     env: MediaEnvironment, params: ModelParams, agent_analytic: np.ndarray, truth_nodes: int
-) -> list[tuple[np.polynomial.Chebyshev, float] | None]:
+) -> list[_WinProbabilityFit | None]:
     """Per emission component, the verified interpolant or None (direct rule).
 
-    The agent bound is ``analytic - discount`` with the discount in
-    ``(0, discount_scale]``, so the analytic values fix its range. A range
-    that reaches zero, where the bound is clamped, always takes the direct
-    rule.
+    The agent bound is ``max(0, analytic - discount)`` with the discount in
+    ``(0, discount_scale]``, so the analytic values fix its range.
     """
-    b_low = float(agent_analytic.min()) - params.discount_scale
+    b_low = max(0.0, float(agent_analytic.min()) - params.discount_scale)
     b_high = float(agent_analytic.max())
     comps = _emission_components(env)
-    if not 0.0 < b_low < b_high:
+    if not b_low < b_high:
         return [None] * len(comps)
     return [
         _win_probability_fit(outlet.truth_mean, outlet.truth_sd, truth_nodes, b_low, b_high)
@@ -227,7 +270,7 @@ def expected_weight_matrix(
                         b_agent, outlet.truth_mean, outlet.truth_sd, truth_nodes
                     )[0]
                 else:
-                    q = fit[0](b_agent)
+                    q = fit(b_agent)
                 phi_keep = _norm_pdf(pn3 - pa3, params.likelihood_sd)
                 phi_flip = _norm_pdf(-pn3 - pa3, params.likelihood_sd)
                 integrand = q * phi_keep + (mass - q) * phi_flip
@@ -319,13 +362,13 @@ def _weight_table(
     return grid, np.log(a_weights), np.log(w_matrix), truth_axis
 
 
-def _describe_truth_axis(fits: list[tuple[np.polynomial.Chebyshev, float] | None]) -> str:
+def _describe_truth_axis(fits: list[_WinProbabilityFit | None]) -> str:
     """``direct`` if any component takes the direct rule, else the largest
     interpolant degree and check error over the components."""
     if any(fit is None for fit in fits):
         return "direct"
-    degree = max(fit[0].degree() for fit in fits)
-    max_err = max(fit[1] for fit in fits)
+    degree = max(fit.poly.degree() for fit in fits)
+    max_err = max(fit.max_err for fit in fits)
     return f"chebyshev deg={degree} max_err={max_err:.2g}"
 
 

@@ -149,6 +149,33 @@ class TestExitCodes:
         assert code == 2
         assert "inference" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"inference_by_n": [1, 2]}, "inference_by_n"),
+            ({"inference_by_n": {"1": 5}}, "inference_by_n.1"),
+            ({"inference_by_n": {"1": {"iterations": "many"}}}, "inference_by_n.1.iterations"),
+            ({"inference": {"iterations": "many"}}, "inference.iterations"),
+            (
+                {
+                    "environments": [
+                        {"name": "x", "weights": [1.0, 0.0, 0.0], "outlets": {"premium_centrist": 5}}
+                    ]
+                },
+                "environments.outlets.premium_centrist",
+            ),
+            ({"observation_counts": "123"}, "observation_counts"),
+            ({"seed": 1.7}, "seed"),
+            ({"environments": "ME1"}, "environments"),
+        ],
+    )
+    def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, data, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        code = run_cli("print-config", "--config", str(path))
+        assert code == 2
+        assert f"error: {key}:" in capsys.readouterr().err
+
     def test_validation_tolerance_needs_known_counts(self, tmp_path, capsys):
         code = run_cli("validate", "--observations", "7", "--out", str(tmp_path / "o"))
         assert code == 2

@@ -149,10 +149,11 @@ class TestRunChain:
         ) * r.final_values[1]
         assert r.samples[0, 1] == pytest.approx(analytic, abs=0.0)
 
-    def test_incremental_weight_matches_replay_after_many_proposals(self):
+    @pytest.mark.parametrize("n_obs", [1, 7, 8, 10])
+    def test_incremental_weight_matches_replay_after_many_proposals(self, n_obs):
         cfg = InferenceConfig(n_chains=1, iterations=10_000, burn_in=100, seed=11)
-        r = run_chain(ME3, PARAMS, 7, cfg, 0)
-        _, _, factors, _, _ = replay_values(r.final_values, 7, ME3, PARAMS)
+        r = run_chain(ME3, PARAMS, n_obs, cfg, 0)
+        _, _, factors, _, _ = replay_values(r.final_values, n_obs, ME3, PARAMS)
         assert r.final_log_weight == pytest.approx(float(factors.sum()), abs=1e-9)
 
     def test_uniform_sites_stay_in_support(self):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from polarsim import oracle
 from polarsim.model import (
@@ -103,18 +104,50 @@ class TestExpectedWeight:
             oracle.expected_weight(0.0, 0.8, ME1, PARAMS, truth_nodes=16)
 
 
+TRUTH_PROFILES = [(0.8, 0.2), (0.4, 0.5), (0.4, 0.3)]
+
+
+def quad_win_probability(b, truth_mean, truth_sd):
+    """Reference: the expected win probability by adaptive quadrature."""
+    hi = truth_mean + 6.0 * truth_sd
+    t0 = max(0.0, truth_mean - 6.0 * truth_sd)
+
+    def pdf(t):
+        return math.exp(-0.5 * ((t - truth_mean) / truth_sd) ** 2) / (
+            truth_sd * math.sqrt(2.0 * math.pi)
+        )
+
+    def integral(f, lo, up):
+        return integrate.quad(f, lo, up, epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+
+    low = integral(lambda t: t / (2.0 * b) * pdf(t), t0, b)
+    high = integral(lambda t: (1.0 - b / (2.0 * t)) * pdf(t), b, hi)
+    return low + high
+
+
 class TestTruthAxis:
-    @pytest.mark.parametrize("truth_mean, truth_sd", [(0.8, 0.2), (0.4, 0.5), (0.4, 0.3)])
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("b", [1e-5, 1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize("truth_mean, truth_sd", TRUTH_PROFILES)
+    def test_direct_rule_matches_adaptive_quadrature_near_zero_bound(
+        self, truth_mean, truth_sd, b
+    ):
+        q, _ = oracle._expected_win_probability(np.array([b]), truth_mean, truth_sd, 64)
+        assert float(q[0]) == pytest.approx(
+            quad_win_probability(b, truth_mean, truth_sd), abs=1e-13
+        )
+
+    @pytest.mark.parametrize("truth_mean, truth_sd", TRUTH_PROFILES)
     def test_interpolant_matches_direct_rule(self, truth_mean, truth_sd):
-        b_low = PARAMS.analytic_low - PARAMS.discount_scale
+        # The built-in domain, one just above the b ln b kink, one at it.
         b_high = PARAMS.analytic_high
-        fit = oracle._win_probability_fit(truth_mean, truth_sd, 64, b_low, b_high)
-        assert fit is not None
-        interpolant, max_err = fit
-        assert max_err <= 1e-14
-        b = np.linspace(b_low, b_high, 10_007)
-        exact, _ = oracle._expected_win_probability(b, truth_mean, truth_sd, 64)
-        assert float(np.max(np.abs(interpolant(b) - exact))) <= 1e-13
+        for b_low in (PARAMS.analytic_low - PARAMS.discount_scale, 0.0011, 0.0):
+            fit = oracle._win_probability_fit(truth_mean, truth_sd, 64, b_low, b_high)
+            assert fit is not None
+            assert fit.max_err <= 1e-14
+            b = np.linspace(b_low, b_high, 10_007)
+            exact, _ = oracle._expected_win_probability(b, truth_mean, truth_sd, 64)
+            assert float(np.max(np.abs(fit(b) - exact))) <= 1e-13
 
     def test_builtin_environments_use_the_interpolant(self):
         analytic = np.linspace(PARAMS.analytic_low, PARAMS.analytic_high, 5)
@@ -124,15 +157,37 @@ class TestTruthAxis:
 
     @pytest.mark.parametrize("analytic_low", [0.1, 0.2])
     def test_direct_rule_where_the_bound_reaches_zero(self, analytic_low):
+        """The interpolant serves a bound that reaches zero and matches the
+        direct rule there."""
         params = ModelParams(analytic_low=analytic_low)
         politics = np.linspace(-2.0, 2.0, 5)
         analytic = np.linspace(analytic_low, 1.0, 4)
         for env in (ME2, HARSH):
-            assert oracle._truth_axis_fits(env, params, analytic, 64) == [None] * 5
-            np.testing.assert_array_equal(
+            fits = oracle._truth_axis_fits(env, params, analytic, 64)
+            assert all(fit is not None and fit.kink > 0.0 for fit in fits)
+            np.testing.assert_allclose(
                 oracle.expected_weight_matrix(politics, analytic, env, params),
                 direct_weight_matrix(politics, analytic, env, params),
+                rtol=1e-13,
             )
+
+    def test_direct_rule_when_no_degree_passes(self, monkeypatch):
+        params = ModelParams(analytic_low=0.1)
+        politics = np.linspace(-2.0, 2.0, 5)
+        analytic = np.linspace(0.1, 1.0, 4)
+        monkeypatch.setattr(oracle, "_FIT_DEGREES", (2, 3))
+        oracle._win_probability_fit.cache_clear()
+        try:
+            for env in (ME2, HARSH):
+                fits = oracle._truth_axis_fits(env, params, analytic, 64)
+                assert fits == [None] * 5
+                assert oracle._describe_truth_axis(fits) == "direct"
+                np.testing.assert_array_equal(
+                    oracle.expected_weight_matrix(politics, analytic, env, params),
+                    direct_weight_matrix(politics, analytic, env, params),
+                )
+        finally:
+            oracle._win_probability_fit.cache_clear()
 
     def test_interpolant_weights_match_direct_rule(self):
         politics = np.linspace(-2.0, 2.0, 5)
@@ -156,13 +211,14 @@ class TestTruthAxis:
         assert truth_axis.startswith("chebyshev deg=")
 
     def test_grid_records_truth_axis_method(self):
-        g = oracle.posterior(HARSH, ModelParams(analytic_low=0.1), 1, grid_points=5)
-        assert g.truth_axis == "direct"
-        g = oracle.posterior(HARSH, PARAMS, 1, grid_points=5)
-        method, degree, max_err = g.truth_axis.split()
-        assert method == "chebyshev"
-        assert int(degree.removeprefix("deg=")) <= 64
-        assert float(max_err.removeprefix("max_err=")) <= 1e-14
+        for analytic_low in (0.1, 0.2, 0.5):
+            params = ModelParams(analytic_low=analytic_low)
+            method, degree, max_err = oracle.posterior(
+                HARSH, params, 1, grid_points=5
+            ).truth_axis.split()
+            assert method == "chebyshev"
+            assert int(degree.removeprefix("deg=")) <= 64
+            assert float(max_err.removeprefix("max_err=")) <= 1e-14
 
 
 class TestPosterior:
