@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 import time
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -142,10 +143,18 @@ class ExperimentConfig:
         return replace(self.inference, **self.inference_by_n.get(n_obs, {}))
 
 
-def _require(value, kind: type, key: str, what: str):
-    """``value`` if it is a ``kind`` (bools are not integers), else a usage
-    error naming ``key``."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+# What a JSON value must be for a dataclass field of each annotated type.
+_FIELD_KINDS = {
+    bool: (bool, "true or false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+}
+
+
+def _require(value, kind: "type | tuple[type, ...]", key: str, what: str):
+    """``value`` if it is a ``kind`` (a bool passes only as a bool), else a
+    usage error naming ``key``."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise UsageError(f"{key}: need {what}")
     return value
 
@@ -196,6 +205,10 @@ def _build_section(name: str, cls, defaults, raw: dict, allowed: tuple):
     unknown = set(raw) - set(allowed)
     if unknown:
         raise UsageError(f"{name}: unknown keys {sorted(unknown)}")
+    types = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        kind, what = _FIELD_KINDS[types[key]]
+        _require(value, kind, f"{name}.{key}", what)
     try:
         return replace(defaults, **raw) if defaults is not None else cls(**raw)
     except (TypeError, ValueError) as exc:
@@ -230,12 +243,12 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     params = _build_section(
         "model", ModelParams, ModelParams(), data.get("model", {}), _MODEL_FIELDS
     )
-    inference_raw = _require(data.get("inference", {}), dict, "inference", "an object")
-    for key in _SCHEDULE_FIELDS:
-        if key in inference_raw:
-            _require(inference_raw[key], int, f"inference.{key}", "an integer")
     inference = _build_section(
-        "inference", InferenceConfig, InferenceConfig(), inference_raw, _INFERENCE_FIELDS
+        "inference",
+        InferenceConfig,
+        InferenceConfig(),
+        data.get("inference", {}),
+        _INFERENCE_FIELDS,
     )
 
     inference_by_n: dict[int, dict[str, int]] = {
@@ -447,6 +460,9 @@ def run_experiment(config: ExperimentConfig) -> int:
                     entry["hist_csv"] = f"{cell_key}_hist.csv"
                     entry["kept_samples"] = int(run.politics.size)
                     entry["acceptance_rate"] = run.acceptance_rate
+                    entry["proposals"] = run.n_proposals
+                    entry["accepted"] = run.n_accepted
+                    entry["flips"] = run.n_flips
                 metrics = (
                     metrics_from_grid(grid)
                     if grid is not None

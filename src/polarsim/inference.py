@@ -2,9 +2,11 @@
 
 Each iteration either proposes a new value at one uniformly chosen address
 (prior resample or reflected random walk) or applies a whole-trace mirror
-flip that exchanges the two politics modes exactly. All proposal randomness
-is drawn up front in per-iteration streams, so a chain's trajectory is a
-pure function of its seed no matter which branches execute.
+flip that exchanges the two politics modes exactly. Every iteration takes
+one value from each of six proposal streams, whichever branch runs, and
+each stream is fixed by the chain's seed: a chain's trajectory is a pure
+function of its seed. The streams are served a block of iterations at a
+time, so a chain's memory does not grow with its length.
 
 Chain seeds are derived from the experiment seed with a splitmix64 mix, and
 samples are concatenated in chain order, so results are identical whether
@@ -44,6 +46,12 @@ __all__ = [
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _MASK64 = (1 << 64) - 1
+
+# Iterations of proposal randomness drawn and precomputed at a time.
+STREAM_BLOCK = 8192
+
+# The double below 0.5; with 0.5 itself, the only v with fl(1 - v) == 0.5.
+_BELOW_HALF = 0.49999999999999994
 
 
 def derive_chain_seed(seed: int, chain_index: int) -> int:
@@ -125,13 +133,20 @@ class ChainResult:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Concatenated draws of all chains of one experiment cell."""
+    """Concatenated draws of all chains of one experiment cell, with the
+    kernel counters of ``ChainResult`` summed over the chains."""
 
     samples: np.ndarray
     env_name: str
     n_obs: int
     config: InferenceConfig
-    acceptance_rate: float
+    n_proposals: int
+    n_accepted: int
+    n_flips: int
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.n_accepted / self.n_proposals if self.n_proposals else 0.0
 
     @property
     def politics(self) -> np.ndarray:
@@ -155,6 +170,13 @@ def run_chain(
     the news contest draw of every step), so a step-site proposal recomputes
     one step and an agent-site proposal recomputes all steps, vectorized
     from 8 steps up.
+
+    The six proposal streams come from ``_stream_blocks``, a block of
+    iterations at a time, and each block's site, prior flag, prior value and
+    walk step are computed in NumPy before the loop runs over them. An
+    exact mirror flip negates only the agent's politics; each step applies
+    the flips it owes when it is next read, so a flip costs O(1), not
+    O(n_obs). Memory is O(block + n_obs + kept samples), not O(iterations).
     The incremental log weight is cross-checked against a full replay in the
     test suite.
     """
@@ -162,19 +184,10 @@ def run_chain(
     rng = np.random.default_rng(chain_seed)
     trace = init_trace(env, params, n_obs, rng)
 
-    iters = config.iterations
-    # One value per stream per iteration, drawn up front: which branches run
-    # never changes how much randomness the chain consumes.
-    u_kind = rng.random(iters).tolist()
-    u_site = rng.random(iters).tolist()
-    u_mix = rng.random(iters).tolist()
-    z_innov = rng.standard_normal(iters).tolist()
-    u_innov = rng.random(iters).tolist()
-    u_accept = rng.random(iters).tolist()
-
     like_on = not config.disable_likelihood
     n_addr = address_count(n_obs)
-    is_normal = normal_site_mask(n_obs).tolist()
+    normal_mask = normal_site_mask(n_obs)
+    is_normal = normal_mask.tolist()
 
     env_arrays = _env_arrays(env)
     cums = env_arrays[0].tolist()
@@ -209,162 +222,188 @@ def run_chain(
     prior_p = config.prior_prob
     w_scale = config.walk_scale
 
-    samples = np.empty((config.kept_per_chain, 2))
-    k = 0
+    # Exact flips made so far, the count each step has applied, and the
+    # count at the last settle of every step.
+    n_lazy = 0
+    seen = [0] * n_obs
+    settled = 0
+    # Superset of the steps whose side coin is 0.5 or _BELOW_HALF; only
+    # those coins read 0.5 after a flip, which makes the flip a scored one.
+    # A step joins when a proposal at any of its sites might write such a
+    # value, and never leaves.
+    below_half = _BELOW_HALF
+    fold = {s for s in range(n_obs) if below_half <= vals[3 + 6 * s] <= 0.5}
+
+    exp = math.exp
+    kept = []
+    next_keep = burn + thin - 1
     n_props = 0
     n_acc = 0
     n_flips = 0
 
-    for i in range(iters):
-        if u_kind[i] < flip_p:
-            n_flips += 1
-            sides = vals[3::6]
-            if any(v == 0.5 for v in sides):
-                # A side coin exactly on the fold breaks the exact symmetry,
-                # so score the flipped trace like any other proposal. The
-                # flip is its own inverse, which makes the revert trivial.
-                vals[0] = -vals[0]
-                vals[3::6] = [1.0 - v for v in sides]
-                vals[4::6] = [-v for v in vals[4::6]]
-                pa_new = -p_agent
-                if like_on and n_obs:
-                    _, _, flipped = pipeline_from_values(
-                        np.array(vals), n_obs, env, params
+    for start, u_kind, u_site, u_mix, z_innov, u_innov, u_accept in _stream_blocks(
+        rng, config.iterations
+    ):
+        # Site -1 marks a flip; astype truncates like int() on [0, n_addr].
+        sites = np.minimum((u_site * n_addr).astype(np.int64), n_addr - 1)
+        flips = u_kind < flip_p
+        sites[flips] = -1
+        block_flips = int(np.count_nonzero(flips))
+        n_flips += block_flips
+        n_props += len(sites) - block_flips
+        steps = (sites - 2) // 6
+        drawn = np.where(normal_mask[sites], z_innov, u_innov)
+        on_fold = (steps >= 0) & (drawn >= below_half) & (drawn <= 0.5)
+        fold.update(steps[on_fold].tolist())
+        for i, j, s, base, prior, new_prior, eps, u_acc in zip(
+            range(start, start + len(sites)),
+            sites.tolist(),
+            steps.tolist(),
+            (2 + 6 * steps).tolist(),
+            (u_mix < prior_p).tolist(),
+            drawn.tolist(),
+            (w_scale * z_innov).tolist(),
+            u_accept.tolist(),
+        ):
+            if j < 0:
+                # A settled side coin of exactly 0.5 makes the flip a scored one.
+                if fold:
+                    _settle(vals, p_news, seen, n_lazy, fold)
+                if fold and any(vals[3 + 6 * t] == 0.5 for t in fold):
+                    _settle(vals, p_news, seen, n_lazy, range(n_obs))
+                    settled = n_lazy
+                    p_agent, log_weight, p_news, x_news, logf = _scored_flip(
+                        vals, p_agent, log_weight, p_news, x_news, logf,
+                        u_acc, like_on, n_obs, env, params,
                     )
-                    new_lw = float(flipped.log_factors.sum())
                 else:
-                    flipped = None
-                    new_lw = 0.0
-                delta = new_lw - log_weight
-                if delta >= 0.0 or u_accept[i] < math.exp(delta):
-                    p_agent = pa_new
-                    log_weight = new_lw
-                    if flipped is not None:
-                        p_news = flipped.p_news.tolist()
-                        x_news = flipped.x_news.tolist()
-                        logf = flipped.log_factors.tolist()
-                else:
+                    # Exact mirror image: every step factor is preserved
+                    # bitwise, so the flip is always accepted and only the
+                    # politics-signed values change. Each step applies its
+                    # part (side coin, politics innovation, judged news
+                    # politics) when it is next read.
                     vals[0] = -vals[0]
-                    vals[3::6] = sides
-                    vals[4::6] = [-v for v in vals[4::6]]
+                    p_agent = -p_agent
+                    n_lazy += 1
             else:
-                # Exact mirror image: every step factor is preserved
-                # bitwise, so the flip is always accepted and only the
-                # politics-signed caches change.
-                vals[0] = -vals[0]
-                vals[3::6] = [1.0 - v for v in sides]
-                vals[4::6] = [-v for v in vals[4::6]]
-                p_agent = -p_agent
-                p_news = [-p for p in p_news]
-        else:
-            n_props += 1
-            j = int(u_site[i] * n_addr)
-            if j >= n_addr:
-                j = n_addr - 1
-            old = vals[j]
-            if u_mix[i] < prior_p:
-                new = z_innov[i] if is_normal[j] else u_innov[i]
-                corr = 0.0
-            else:
-                eps = w_scale * z_innov[i]
-                if is_normal[j]:
+                if j >= 2:
+                    owed = n_lazy - seen[s]
+                    if owed:
+                        # _settle inlined for one step, as a call here costs
+                        # about 10% at N = 100: 1 - v once for an odd count,
+                        # twice for an even one (see _settle for why).
+                        seen[s] = n_lazy
+                        v = 1.0 - vals[base + 1]
+                        if owed & 1:
+                            vals[base + 1] = v
+                            vals[base + 2] = -vals[base + 2]
+                            p_news[s] = -p_news[s]
+                        else:
+                            vals[base + 1] = 1.0 - v
+                old = vals[j]
+                if prior:
+                    new = new_prior
+                    corr = 0.0
+                elif is_normal[j]:
                     new = old + eps
                     corr = 0.5 * (old * old - new * new)
                 else:
                     new = reflect_unit(old + eps)
                     corr = 0.0
-            vals[j] = new
+                    if below_half <= new <= 0.5 and j >= 2:
+                        fold.add(s)
+                vals[j] = new
 
-            if j >= 2:
-                if like_on:
-                    s = (j - 2) // 6
-                    base = 2 + 6 * s
-                    u_o = vals[base]
-                    o = bisect_right(cums, u_o)
-                    if o > last_outlet:
-                        o = last_outlet
-                    m = mag[o]
-                    p_n = (m if vals[base + 1] < 0.5 else -m) + p_sd[o] * vals[base + 2]
-                    t_n = t_mean[o] + t_sd[o] * vals[base + 3]
-                    b_n = t_n if t_n > 0.0 else 0.0
-                    b_a = a_agent - ds * db ** abs(p_n - p_agent)
-                    if b_a < 0.0:
-                        b_a = 0.0
-                    x_n = vals[base + 4] * b_n
-                    x_a = vals[base + 5] * b_a
-                    p_j = p_n if x_n > x_a else -p_n
-                    zz = (p_j - p_agent) * inv_sd
-                    f = f_const - 0.5 * zz * zz
-                    delta = f - logf[s]
-                    d = delta + corr
-                    if d >= 0.0 or u_accept[i] < math.exp(d):
-                        n_acc += 1
-                        logf[s] = f
-                        p_news[s] = p_n
-                        x_news[s] = x_n
-                        log_weight += delta
-                    else:
-                        vals[j] = old
-                else:
-                    if corr >= 0.0 or u_accept[i] < math.exp(corr):
-                        n_acc += 1
-                    else:
-                        vals[j] = old
-            else:
-                if j == 0:
-                    pa_new = p_scale * new
-                    aa_new = a_agent
-                else:
-                    pa_new = p_agent
-                    aa_new = a_low + a_span * new
-                if like_on and 0 < n_obs < 8:
-                    # Plain floats for short sequences. NumPy's pairwise sum
-                    # also adds fewer than 8 terms in order, so the log
-                    # weight is bitwise equal to the array path below; the
-                    # bound may differ from NumPy's vectorized power in the
-                    # last bit, but it only enters a comparison.
-                    lf = []
-                    new_lw = 0.0
-                    for s in range(n_obs):
-                        p_n = p_news[s]
-                        b_a = aa_new - ds * db ** abs(p_n - pa_new)
+                if j >= 2:
+                    if like_on:
+                        u_o, coin, z_pol, z_truth, u_xn, u_xa = vals[base : base + 6]
+                        o = bisect_right(cums, u_o)
+                        if o > last_outlet:
+                            o = last_outlet
+                        m = mag[o]
+                        p_n = (m if coin < 0.5 else -m) + p_sd[o] * z_pol
+                        t_n = t_mean[o] + t_sd[o] * z_truth
+                        b_n = t_n if t_n > 0.0 else 0.0
+                        b_a = a_agent - ds * db ** abs(p_n - p_agent)
                         if b_a < 0.0:
                             b_a = 0.0
-                        p_j = p_n if x_news[s] > vals[7 + 6 * s] * b_a else -p_n
-                        zz = (p_j - pa_new) * inv_sd
+                        x_n = u_xn * b_n
+                        x_a = u_xa * b_a
+                        p_j = p_n if x_n > x_a else -p_n
+                        zz = (p_j - p_agent) * inv_sd
                         f = f_const - 0.5 * zz * zz
-                        lf.append(f)
-                        new_lw += f
-                elif like_on and n_obs:
-                    pn = np.array(p_news)
-                    b_a_vec = aa_new - ds * db ** np.abs(pn - pa_new)
-                    np.maximum(b_a_vec, 0.0, out=b_a_vec)
-                    won = np.array(x_news) > np.array(vals[7::6]) * b_a_vec
-                    p_j_vec = np.where(won, pn, -pn)
-                    zz_vec = (p_j_vec - pa_new) * inv_sd
-                    lf = f_const - 0.5 * zz_vec * zz_vec
-                    new_lw = float(lf.sum())
+                        delta = f - logf[s]
+                        d = delta + corr
+                        if d >= 0.0 or u_acc < exp(d):
+                            n_acc += 1
+                            logf[s] = f
+                            p_news[s] = p_n
+                            x_news[s] = x_n
+                            log_weight += delta
+                        else:
+                            vals[j] = old
+                    elif corr >= 0.0 or u_acc < exp(corr):
+                        n_acc += 1
+                    else:
+                        vals[j] = old
                 else:
-                    lf = None
-                    new_lw = 0.0
-                d = (new_lw - log_weight) + corr
-                if d >= 0.0 or u_accept[i] < math.exp(d):
-                    n_acc += 1
-                    p_agent = pa_new
-                    a_agent = aa_new
-                    log_weight = new_lw
-                    if lf is not None:
-                        logf = lf if n_obs < 8 else lf.tolist()
-                else:
-                    vals[j] = old
+                    if settled != n_lazy:
+                        _settle(vals, p_news, seen, n_lazy, range(n_obs))
+                        settled = n_lazy
+                    if j == 0:
+                        pa_new = p_scale * new
+                        aa_new = a_agent
+                    else:
+                        pa_new = p_agent
+                        aa_new = a_low + a_span * new
+                    if like_on and 0 < n_obs < 8:
+                        # Plain floats for short sequences. NumPy's pairwise sum
+                        # also adds fewer than 8 terms in order, so the log
+                        # weight is bitwise equal to the array path below; the
+                        # bound may differ from NumPy's vectorized power in the
+                        # last bit, but it only enters a comparison.
+                        lf = []
+                        new_lw = 0.0
+                        for s in range(n_obs):
+                            p_n = p_news[s]
+                            b_a = aa_new - ds * db ** abs(p_n - pa_new)
+                            if b_a < 0.0:
+                                b_a = 0.0
+                            p_j = p_n if x_news[s] > vals[7 + 6 * s] * b_a else -p_n
+                            zz = (p_j - pa_new) * inv_sd
+                            f = f_const - 0.5 * zz * zz
+                            lf.append(f)
+                            new_lw += f
+                    elif like_on and n_obs:
+                        pn = np.array(p_news)
+                        b_a_vec = aa_new - ds * db ** np.abs(pn - pa_new)
+                        np.maximum(b_a_vec, 0.0, out=b_a_vec)
+                        won = np.array(x_news) > np.array(vals[7::6]) * b_a_vec
+                        p_j_vec = np.where(won, pn, -pn)
+                        zz_vec = (p_j_vec - pa_new) * inv_sd
+                        lf = f_const - 0.5 * zz_vec * zz_vec
+                        new_lw = float(lf.sum())
+                    else:
+                        lf = None
+                        new_lw = 0.0
+                    d = (new_lw - log_weight) + corr
+                    if d >= 0.0 or u_acc < exp(d):
+                        n_acc += 1
+                        p_agent = pa_new
+                        a_agent = aa_new
+                        log_weight = new_lw
+                        if lf is not None:
+                            logf = lf if n_obs < 8 else lf.tolist()
+                    else:
+                        vals[j] = old
 
-        if i >= burn and (i - burn + 1) % thin == 0:
-            samples[k, 0] = p_agent
-            samples[k, 1] = a_agent
-            k += 1
+            if i == next_keep:
+                kept.append((p_agent, a_agent))
+                next_keep += thin
 
+    _settle(vals, p_news, seen, n_lazy, range(n_obs))
     return ChainResult(
-        samples=samples,
+        samples=np.array(kept),
         n_proposals=n_props,
         n_accepted=n_acc,
         n_flips=n_flips,
@@ -372,6 +411,113 @@ def run_chain(
         final_log_weight=log_weight,
         chain_seed=chain_seed,
     )
+
+
+def _stream_blocks(rng: np.random.Generator, iterations: int):
+    """The six proposal streams of a chain, ``STREAM_BLOCK`` iterations at a time.
+
+    Yields ``(start, u_kind, u_site, u_mix, z_innov, u_innov, u_accept)``.
+    Concatenated, the blocks equal ``iterations`` draws each of ``random``
+    three times, ``standard_normal`` once and ``random`` twice, taken in that
+    order from ``rng``. The first stream is drawn from ``rng`` itself, and
+    every other stream has its own generator, placed where that whole-stream
+    draw would start. A uniform double takes one 64-bit output,
+    so those places are reached by ``advance``; the ziggurat takes a variable
+    number, so the streams after the normal one start where a full draw of
+    it, made and discarded in blocks, ends. ``rng`` must run on PCG64, as
+    ``default_rng`` does.
+    """
+    def placed(state: dict, offset: int) -> np.random.Generator:
+        bit_generator = np.random.PCG64(0)  # seeded only to skip OS entropy
+        bit_generator.state = state
+        bit_generator.advance(offset)
+        return np.random.Generator(bit_generator)
+
+    state = rng.bit_generator.state
+    kind = rng
+    site, mix, normal, innov = (placed(state, k * iterations) for k in (1, 2, 3, 3))
+    for start in range(0, iterations, STREAM_BLOCK):
+        innov.standard_normal(min(STREAM_BLOCK, iterations - start))
+    accept = placed(innov.bit_generator.state, iterations)
+    for start in range(0, iterations, STREAM_BLOCK):
+        count = min(STREAM_BLOCK, iterations - start)
+        yield (
+            start,
+            kind.random(count),
+            site.random(count),
+            mix.random(count),
+            normal.standard_normal(count),
+            innov.random(count),
+            accept.random(count),
+        )
+
+
+def _settle(vals: list, p_news: list, seen: list, n_lazy: int, steps) -> None:
+    """Apply to each of ``steps`` the lazy mirror flips it still owes.
+
+    A flip maps the side coin v to fl(1 - v) and negates the politics
+    innovation and the judged news politics. On [0, 1], fl(1 - v) applied
+    three times equals applying it once (1 - v is exact for v >= 0.5, and
+    undoes the rounded value for v < 0.5), but fl(1 - (1 - v)) != v for many
+    v < 0.5. So k owed flips apply 1 - v once when k is odd and twice when
+    k is even: a parity bit alone would not reproduce eager flips.
+    """
+    for s in steps:
+        owed = n_lazy - seen[s]
+        if owed:
+            seen[s] = n_lazy
+            side = 3 + 6 * s
+            v = 1.0 - vals[side]
+            if owed & 1:
+                vals[side] = v
+                vals[side + 1] = -vals[side + 1]
+                p_news[s] = -p_news[s]
+            else:
+                vals[side] = 1.0 - v
+
+
+def _scored_flip(
+    vals: list,
+    p_agent: float,
+    log_weight: float,
+    p_news: list,
+    x_news: list,
+    logf: list,
+    u_accept: float,
+    like_on: bool,
+    n_obs: int,
+    env: MediaEnvironment,
+    params: ModelParams,
+) -> tuple:
+    """Mirror flip of a settled state with a side coin on the fold.
+
+    A side coin exactly at 0.5 breaks the exact symmetry, so the flipped
+    trace is scored like any other proposal. The flip is its own inverse,
+    which makes the revert trivial. Returns the new ``(p_agent, log_weight,
+    p_news, x_news, logf)``.
+    """
+    sides = vals[3::6]
+    vals[0] = -vals[0]
+    vals[3::6] = [1.0 - v for v in sides]
+    vals[4::6] = [-v for v in vals[4::6]]
+    pa_new = -p_agent
+    if like_on and n_obs:
+        _, _, flipped = pipeline_from_values(np.array(vals), n_obs, env, params)
+        new_lw = float(flipped.log_factors.sum())
+    else:
+        flipped = None
+        new_lw = 0.0
+    delta = new_lw - log_weight
+    if delta >= 0.0 or u_accept < math.exp(delta):
+        if flipped is not None:
+            p_news = flipped.p_news.tolist()
+            x_news = flipped.x_news.tolist()
+            logf = flipped.log_factors.tolist()
+        return pa_new, new_lw, p_news, x_news, logf
+    vals[0] = -vals[0]
+    vals[3::6] = sides
+    vals[4::6] = [-v for v in vals[4::6]]
+    return p_agent, log_weight, p_news, x_news, logf
 
 
 def _run_chain_task(args: tuple) -> ChainResult:
@@ -398,15 +544,14 @@ def sample_posterior(
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_run_chain_task, tasks, chunksize=chunk))
 
-    samples = np.vstack([r.samples for r in results])
-    total_props = sum(r.n_proposals for r in results)
-    total_acc = sum(r.n_accepted for r in results)
     return SampleSet(
-        samples=samples,
+        samples=np.vstack([r.samples for r in results]),
         env_name=env.name,
         n_obs=n_obs,
         config=config,
-        acceptance_rate=total_acc / total_props if total_props else 0.0,
+        n_proposals=sum(r.n_proposals for r in results),
+        n_accepted=sum(r.n_accepted for r in results),
+        n_flips=sum(r.n_flips for r in results),
     )
 
 

@@ -167,6 +167,12 @@ class TestExitCodes:
             ({"observation_counts": "123"}, "observation_counts"),
             ({"seed": 1.7}, "seed"),
             ({"environments": "ME1"}, "environments"),
+            ({"model": {"analytic_low": True}}, "model.analytic_low"),
+            ({"model": {"likelihood_sd": "0.25"}}, "model.likelihood_sd"),
+            ({"inference": {"flip_prob": False}}, "inference.flip_prob"),
+            ({"inference": {"disable_likelihood": 1}}, "inference.disable_likelihood"),
+            ({"inference": {"n_chains": True}}, "inference.n_chains"),
+            ({"inference": {"thin": 2.0}}, "inference.thin"),
         ],
     )
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, data, key):
@@ -231,6 +237,10 @@ class TestMcmcMode:
         assert set(manifest["cells"]) == {"ME1_1", "ME1_10"}
         cell = manifest["cells"]["ME1_1"]
         assert cell["kept_samples"] == 4 * 150
+        # Every iteration is a site proposal or a mirror flip.
+        assert cell["proposals"] + cell["flips"] == 4 * 200
+        assert 0 < cell["flips"] and 0 < cell["accepted"] <= cell["proposals"]
+        assert cell["acceptance_rate"] == cell["accepted"] / cell["proposals"]
         assert "oracle_csv" not in cell
         assert "tv" not in cell
         samples = (out / "ME1_1_samples.csv").read_text().splitlines()
@@ -389,3 +399,19 @@ class TestPrintConfig:
         assert entry["name"] == "mix"
         assert entry["weights"] == [0.1, 0.8, 0.1]
         assert entry["outlets"]["premium_centrist"]["politics_sd"] == 0.5
+
+    def test_integers_load_into_float_fields(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "model": {"analytic_high": 2},
+                    "inference": {"flip_prob": 0, "disable_likelihood": True},
+                }
+            )
+        )
+        assert run_cli("print-config", "--config", str(path)) == 0
+        config = json.loads(capsys.readouterr().out)
+        assert config["model"]["analytic_high"] == 2
+        assert config["inference"]["flip_prob"] == 0
+        assert config["inference"]["disable_likelihood"] is True

@@ -1,6 +1,11 @@
 """Tests for the parallel single-site MH sampler."""
 
+import itertools
 import math
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,26 +13,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import polarsim.inference
+import reference_chain
 from polarsim import oracle
 from polarsim.inference import (
+    STREAM_BLOCK,
     ChainResult,
     InferenceConfig,
     SampleSet,
+    _stream_blocks,
     derive_chain_seed,
     run_chain,
     sample_posterior,
 )
-from polarsim.model import ME1, ME2, ME3, ModelParams
+from polarsim.model import (
+    FAKE_NEWS_PARTISAN,
+    ME1,
+    ME2,
+    ME3,
+    PREMIUM_CENTRIST,
+    PREMIUM_PARTISAN,
+    MediaEnvironment,
+    ModelParams,
+)
 from polarsim.trace import (
     Address,
     ProposalKind,
     Site,
     init_trace,
+    pipeline_from_values,
     propose_site,
+    reflect_unit,
     replay_values,
 )
+from reference_chain import reference_run_chain
 
 PARAMS = ModelParams()
+
+HARSH = MediaEnvironment(
+    "harsh",
+    (0.2, 0.2, 0.6),
+    (PREMIUM_CENTRIST, PREMIUM_PARTISAN, replace(FAKE_NEWS_PARTISAN, truth_sd=0.3)),
+)
+HARSH_PARAMS = replace(PARAMS, analytic_low=0.1)
+
+# The double below 0.5: with 0.5 itself, the only side coins v whose mirror
+# image fl(1 - v) is 0.5.
+BELOW_HALF = 0.49999999999999994
 
 EDGES = np.linspace(-3.0, 3.0, 61)
 
@@ -149,7 +181,7 @@ class TestRunChain:
         ) * r.final_values[1]
         assert r.samples[0, 1] == pytest.approx(analytic, abs=0.0)
 
-    @pytest.mark.parametrize("n_obs", [1, 7, 8, 10])
+    @pytest.mark.parametrize("n_obs", [1, 7, 8, 10, 16, 100])
     def test_incremental_weight_matches_replay_after_many_proposals(self, n_obs):
         cfg = InferenceConfig(n_chains=1, iterations=10_000, burn_in=100, seed=11)
         r = run_chain(ME3, PARAMS, n_obs, cfg, 0)
@@ -171,6 +203,198 @@ class TestRunChain:
         stat = stats.kstest(ss.politics, "norm").statistic
         assert stat < 0.05
         assert ss.acceptance_rate > 0.9
+
+
+def assert_same_chain(new: ChainResult, ref: ChainResult) -> None:
+    """Bit for bit: samples, final state, final log weight and counters."""
+    assert new.samples.shape == ref.samples.shape
+    assert new.samples.tobytes() == ref.samples.tobytes()
+    assert new.final_values.tobytes() == ref.final_values.tobytes()
+    assert float(new.final_log_weight).hex() == float(ref.final_log_weight).hex()
+    assert (new.n_proposals, new.n_accepted, new.n_flips) == (
+        ref.n_proposals,
+        ref.n_accepted,
+        ref.n_flips,
+    )
+
+
+def count_pipeline_calls(monkeypatch) -> list:
+    """Record each full pipeline evaluation run_chain makes; after the one at
+    chain start, each is a scored mirror flip."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return pipeline_from_values(*args)
+
+    monkeypatch.setattr(polarsim.inference, "pipeline_from_values", counted)
+    return calls
+
+
+class TestStreamBlocks:
+    @pytest.mark.parametrize(
+        "iterations", [1, 1000, STREAM_BLOCK, 2 * STREAM_BLOCK + 3]
+    )
+    def test_blocks_equal_whole_stream_draws(self, iterations):
+        def after_init():
+            rng = np.random.default_rng(31)
+            init_trace(ME2, PARAMS, 5, rng)
+            return rng
+
+        rng = after_init()
+        whole = [rng.random(iterations) for _ in range(3)]
+        whole.append(rng.standard_normal(iterations))
+        whole.extend(rng.random(iterations) for _ in range(2))
+
+        blocks = list(_stream_blocks(after_init(), iterations))
+        assert [b[0] for b in blocks] == list(range(0, iterations, STREAM_BLOCK))
+        assert all(len(stream) <= STREAM_BLOCK for b in blocks for stream in b[1:])
+        for k, expected in enumerate(whole, start=1):
+            served = np.concatenate([b[k] for b in blocks])
+            np.testing.assert_array_equal(served, expected)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmHWM from procfs"
+    )
+    def test_chain_memory_does_not_grow_with_iterations(self):
+        # A million iterations held as whole-stream float lists would take
+        # about 190 MiB; served in blocks the chain stays near the
+        # interpreter's own footprint. The child reads its peak from VmHWM:
+        # getrusage's ru_maxrss would carry over this process's peak from
+        # before exec.
+        code = (
+            "from polarsim.inference import InferenceConfig, run_chain\n"
+            "from polarsim.model import ME2, ModelParams\n"
+            "cfg = InferenceConfig(iterations=1_000_000, burn_in=999_000)\n"
+            "run_chain(ME2, ModelParams(), 0, cfg, 0)\n"
+            "status = open('/proc/self/status').read().splitlines()\n"
+            "print(next(l.split()[1] for l in status if l.startswith('VmHWM')))\n"
+        )
+        src = str(Path(polarsim.inference.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            timeout=300,
+        )
+        peak_mib = int(out.stdout.split()[-1]) / 1024
+        assert peak_mib < 60
+
+
+class TestMatchesReferenceLoop:
+    """run_chain reproduces the whole-stream loop of tests/reference_chain.py."""
+
+    @pytest.mark.parametrize(
+        "env, params",
+        [(ME1, PARAMS), (ME2, PARAMS), (ME3, PARAMS), (HARSH, HARSH_PARAMS)],
+        ids=["ME1", "ME2", "ME3", "harsh"],
+    )
+    @pytest.mark.parametrize("n_obs", [0, 1, 7, 8, 15, 16, 17, 100])
+    def test_bitwise_equal_chains(self, monkeypatch, env, params, n_obs):
+        kernels = itertools.product((0.0, 0.05, 0.5), (0.0, 0.7), (False, True))
+        for k, (flip_prob, prior_prob, prior_only) in enumerate(kernels):
+            cfg = InferenceConfig(
+                n_chains=1,
+                iterations=1000,
+                burn_in=200,
+                thin=3,
+                seed=100 * n_obs + k,
+                flip_prob=flip_prob,
+                prior_prob=prior_prob,
+                disable_likelihood=prior_only,
+            )
+            # A short block makes the chain span 11 blocks, the last partial.
+            for block in (97, STREAM_BLOCK):
+                monkeypatch.setattr(polarsim.inference, "STREAM_BLOCK", block)
+                assert_same_chain(
+                    run_chain(env, params, n_obs, cfg, 1),
+                    reference_run_chain(env, params, n_obs, cfg, 1),
+                )
+
+    @pytest.mark.parametrize("n_obs", [1, 16, 100])
+    def test_bitwise_equal_over_full_blocks(self, n_obs):
+        cfg = InferenceConfig(
+            n_chains=1, iterations=2 * STREAM_BLOCK + 3, burn_in=1000, thin=7, seed=5
+        )
+        assert_same_chain(
+            run_chain(ME3, PARAMS, n_obs, cfg, 0),
+            reference_run_chain(ME3, PARAMS, n_obs, cfg, 0),
+        )
+
+    @pytest.mark.parametrize("coin", [0.5, BELOW_HALF], ids=["half", "below_half"])
+    @pytest.mark.parametrize(
+        "n_obs, steps", [(3, (1,)), (15, (0, 7, 14)), (16, (5,)), (40, range(40))]
+    )
+    def test_planted_fold_coins_take_the_scored_flip(
+        self, monkeypatch, coin, n_obs, steps
+    ):
+        def planted(env, params, n, rng):
+            trace = init_trace(env, params, n, rng)
+            for s in steps:
+                trace.values[3 + 6 * s] = coin
+            return trace
+
+        monkeypatch.setattr(polarsim.inference, "init_trace", planted)
+        monkeypatch.setattr(reference_chain, "init_trace", planted)
+        calls = count_pipeline_calls(monkeypatch)
+        for flip_prob, prior_only in itertools.product((0.05, 0.5), (False, True)):
+            cfg = InferenceConfig(
+                n_chains=1,
+                iterations=600,
+                burn_in=100,
+                seed=7,
+                flip_prob=flip_prob,
+                disable_likelihood=prior_only,
+            )
+            calls.clear()
+            assert_same_chain(
+                run_chain(ME2, PARAMS, n_obs, cfg, 0),
+                reference_run_chain(ME2, PARAMS, n_obs, cfg, 0),
+            )
+            if flip_prob == 0.5 and not prior_only:
+                assert len(calls) > 1
+
+    @pytest.mark.parametrize("n_obs", [5, 16, 40])
+    def test_walks_onto_the_fold_take_the_scored_flip(self, monkeypatch, n_obs):
+        def sticky(u):
+            v = reflect_unit(u)
+            if 0.40 < v < 0.45:
+                return BELOW_HALF
+            return 0.5 if 0.45 <= v < 0.55 else v
+
+        monkeypatch.setattr(polarsim.inference, "reflect_unit", sticky)
+        monkeypatch.setattr(reference_chain, "reflect_unit", sticky)
+        calls = count_pipeline_calls(monkeypatch)
+        cfg = InferenceConfig(
+            n_chains=1, iterations=2000, burn_in=100, seed=8, prior_prob=0.0,
+            flip_prob=0.3,
+        )
+        assert_same_chain(
+            run_chain(ME2, PARAMS, n_obs, cfg, 0),
+            reference_run_chain(ME2, PARAMS, n_obs, cfg, 0),
+        )
+        assert len(calls) > 1
+
+    @pytest.mark.parametrize("n_obs", [5, 40])
+    def test_prior_draws_onto_the_fold_take_the_scored_flip(self, monkeypatch, n_obs):
+        # Every uniform prior draw is 0.5, so side coins land on the fold
+        # through the prior branch alone.
+        def halves(rng, iterations):
+            for *first, u_innov, u_accept in _stream_blocks(rng, iterations):
+                yield *first, np.full_like(u_innov, 0.5), u_accept
+
+        monkeypatch.setattr(polarsim.inference, "_stream_blocks", halves)
+        calls = count_pipeline_calls(monkeypatch)
+        cfg = InferenceConfig(
+            n_chains=1, iterations=3000, burn_in=100, seed=9, prior_prob=1.0,
+            flip_prob=0.3,
+        )
+        r = run_chain(ME2, PARAMS, n_obs, cfg, 0)
+        assert len(calls) > 1
+        _, _, factors, _, _ = replay_values(r.final_values, n_obs, ME2, PARAMS)
+        assert r.final_log_weight == pytest.approx(float(factors.sum()), abs=1e-9)
 
 
 class TestPriorRecovery:
