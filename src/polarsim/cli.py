@@ -9,10 +9,18 @@ Config precedence is flags over config file over built-in defaults. Flags
 that pin an explicit budget (--chains, --iters, --burn-in) discard the
 per-count budget schedule, so the requested numbers apply to every cell.
 
+Cells run in order: quadrature, then the cell's chains, then its artifacts.
+With more than one worker, one process pool serves the whole experiment and
+every cell's chains are queued on it before the first cell starts, so the
+parent's quadrature and writing overlap the sampling of later cells.
+
 The manifest echoes the experiment configuration but not execution details
 (worker count, output directory), and all wall-clock numbers live under the
 single `timing_seconds` key, so two runs with the same seed produce
-byte-identical artifacts once that key is ignored.
+byte-identical artifacts once that key is ignored. Per cell it holds the
+total seconds (`cells`) and their split (`phases`): `oracle` (quadrature),
+`sampling_wait` (time the parent blocked on the cell's chains) and
+`artifacts` (summaries and files).
 
 The metrics JSON for a cell summarizes the quadrature density when the mode
 computes one, otherwise the sampled histogram.
@@ -28,10 +36,16 @@ import json
 import sys
 import time
 import typing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from polarsim.inference import InferenceConfig, sample_posterior, write_samples_csv
+from polarsim.inference import (
+    InferenceConfig,
+    queue_chains,
+    sample_posterior,
+    write_samples_csv,
+)
 from polarsim.model import (
     BUILTIN_ENVIRONMENTS,
     FAKE_NEWS_PARTISAN,
@@ -423,6 +437,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     started = time.perf_counter()
     cells: dict[str, dict] = {}
     cell_seconds: dict[str, float] = {}
+    phases: dict[str, dict[str, float]] = {}
     # Only validate mode has a tolerance for every count (load_config checks).
     validation = {
         "tolerances": (
@@ -435,64 +450,94 @@ def run_experiment(config: ExperimentConfig) -> int:
     }
     failure = None
 
-    for row, n_obs in enumerate(config.observation_counts):
-        for col, env in enumerate(config.environments):
-            cell_key = f"{env.name}_{n_obs}"
-            cell_start = time.perf_counter()
-            try:
-                entry: dict = {}
-                grid = None
-                hist = None
-                if want_oracle:
-                    grid = posterior(
-                        env, config.params, n_obs, grid_points=config.grid_points
+    # With a pool, every cell's chains are queued before the first cell's
+    # quadrature, so the parent's quadrature and writing overlap sampling.
+    pool = None
+    queued: dict[str, typing.Iterator] = {}
+    try:
+        if want_mcmc and config.inference.workers > 1:
+            pool = ProcessPoolExecutor(max_workers=config.inference.workers)
+            for n_obs in config.observation_counts:
+                for env in config.environments:
+                    queued[f"{env.name}_{n_obs}"] = queue_chains(
+                        pool, env, config.params, n_obs, config.cell_inference(n_obs)
                     )
-                    write_grid_csv(grid, out / f"{cell_key}_oracle.csv")
-                    entry["oracle_csv"] = f"{cell_key}_oracle.csv"
-                if want_mcmc:
-                    run = sample_posterior(
-                        env, config.params, n_obs, config.cell_inference(n_obs)
+        for row, n_obs in enumerate(config.observation_counts):
+            for col, env in enumerate(config.environments):
+                cell_key = f"{env.name}_{n_obs}"
+                marks = [time.perf_counter()]
+                try:
+                    entry: dict = {}
+                    grid = None
+                    hist = None
+                    if want_oracle:
+                        grid = posterior(
+                            env, config.params, n_obs, grid_points=config.grid_points
+                        )
+                    marks.append(time.perf_counter())
+                    if want_mcmc:
+                        run = sample_posterior(
+                            env,
+                            config.params,
+                            n_obs,
+                            config.cell_inference(n_obs),
+                            chains=queued.get(cell_key),
+                        )
+                    marks.append(time.perf_counter())
+                    if grid is not None:
+                        write_grid_csv(grid, out / f"{cell_key}_oracle.csv")
+                        entry["oracle_csv"] = f"{cell_key}_oracle.csv"
+                    if want_mcmc:
+                        write_samples_csv(run, out / f"{cell_key}_samples.csv")
+                        hist = bin_samples(run.politics)
+                        write_histogram_csv(hist, out / f"{cell_key}_hist.csv")
+                        entry["samples_csv"] = f"{cell_key}_samples.csv"
+                        entry["hist_csv"] = f"{cell_key}_hist.csv"
+                        entry["kept_samples"] = int(run.politics.size)
+                        entry["acceptance_rate"] = run.acceptance_rate
+                        entry["proposals"] = run.n_proposals
+                        entry["accepted"] = run.n_accepted
+                        entry["flips"] = run.n_flips
+                    metrics = (
+                        metrics_from_grid(grid)
+                        if grid is not None
+                        else metrics_from_histogram(hist)
                     )
-                    write_samples_csv(run, out / f"{cell_key}_samples.csv")
-                    hist = bin_samples(run.politics)
-                    write_histogram_csv(hist, out / f"{cell_key}_hist.csv")
-                    entry["samples_csv"] = f"{cell_key}_samples.csv"
-                    entry["hist_csv"] = f"{cell_key}_hist.csv"
-                    entry["kept_samples"] = int(run.politics.size)
-                    entry["acceptance_rate"] = run.acceptance_rate
-                    entry["proposals"] = run.n_proposals
-                    entry["accepted"] = run.n_accepted
-                    entry["flips"] = run.n_flips
-                metrics = (
-                    metrics_from_grid(grid)
-                    if grid is not None
-                    else metrics_from_histogram(hist)
-                )
-                write_metrics_json(metrics, out / f"{cell_key}_metrics.json")
-                entry["metrics_json"] = f"{cell_key}_metrics.json"
-                if grid is not None and hist is not None:
-                    entry["tv"] = tv_distance(hist, grid)
-                if config.mode == "validate":
-                    tolerance = TV_TOLERANCES[n_obs]
-                    passed = entry["tv"] <= tolerance
-                    validation["cells"][cell_key] = {
-                        "tv": entry["tv"],
-                        "tolerance": tolerance,
-                        "passed": passed,
+                    write_metrics_json(metrics, out / f"{cell_key}_metrics.json")
+                    entry["metrics_json"] = f"{cell_key}_metrics.json"
+                    if grid is not None and hist is not None:
+                        entry["tv"] = tv_distance(hist, grid)
+                    if config.mode == "validate":
+                        tolerance = TV_TOLERANCES[n_obs]
+                        passed = entry["tv"] <= tolerance
+                        validation["cells"][cell_key] = {
+                            "tv": entry["tv"],
+                            "tolerance": tolerance,
+                            "passed": passed,
+                        }
+                        if not passed:
+                            validation["passed"] = False
+                    cells[cell_key] = entry
+                    hist_grid[row][col] = hist
+                    overlay_grid[row][col] = grid
+                except Exception as exc:
+                    failure = f"{cell_key}: {exc}"
+                finally:
+                    marks.append(time.perf_counter())
+                    cell_seconds[cell_key] = round(marks[-1] - marks[0], 3)
+                    phases[cell_key] = {
+                        name: round(end - begin, 3)
+                        for name, begin, end in zip(
+                            ("oracle", "sampling_wait", "artifacts"), marks, marks[1:]
+                        )
                     }
-                    if not passed:
-                        validation["passed"] = False
-                cells[cell_key] = entry
-                hist_grid[row][col] = hist
-                overlay_grid[row][col] = grid
-            except Exception as exc:
-                failure = f"{cell_key}: {exc}"
-            finally:
-                cell_seconds[cell_key] = round(time.perf_counter() - cell_start, 3)
+                if failure:
+                    break
             if failure:
                 break
-        if failure:
-            break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     figure = None
     if failure is None and n_rows == 3 and n_cols == 3:
@@ -509,6 +554,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         "timing_seconds": {
             "total": round(time.perf_counter() - started, 3),
             "cells": cell_seconds,
+            "phases": phases,
         },
     }
     if failure is not None:

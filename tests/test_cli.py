@@ -1,6 +1,7 @@
 """Tests for config resolution, the experiment runner, and exit codes."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -206,20 +207,24 @@ class TestExitCodes:
     def test_missing_subcommand_is_usage_error(self):
         assert run_cli() == 2
 
-    def test_runtime_failure_writes_partial_manifest(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_runtime_failure_writes_partial_manifest(self, tmp_path, capsys, workers):
         out = tmp_path / "o"
         out.mkdir()
-        (out / "ME1_1_samples.csv").mkdir()
+        (out / "ME1_10_samples.csv").mkdir()
         code = run_cli(
-            "mcmc", "--env", "ME1", "--observations", "1",
-            "--chains", "2", "--iters", "50", "--burn-in", "10",
-            "--out", str(out),
+            "mcmc", "--env", "ME1", "--observations", "1", "10",
+            "--chains", "4", "--iters", "50", "--burn-in", "10",
+            "--workers", workers, "--out", str(out),
         )
         assert code == 3
         manifest = read_manifest(out)
         assert manifest["complete"] is False
-        assert "ME1_1" in manifest["error"]
+        assert "ME1_10" in manifest["error"]
+        assert list(manifest["cells"]) == ["ME1_1"]
+        assert (out / "ME1_1_samples.csv").is_file()
         assert "runtime failure" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 
 class TestMcmcMode:
@@ -268,21 +273,31 @@ class TestMcmcMode:
         assert "ME3 N=100" in text
 
     def test_seeded_runs_are_byte_identical_across_workers(self, tmp_path):
-        artifacts = ("ME1_1_samples.csv", "ME1_1_hist.csv", "ME1_1_metrics.json")
         outputs = []
         for out_name, workers in (("a", "1"), ("b", "2")):
             out = tmp_path / out_name
             code = run_cli(
-                "mcmc", "--env", "ME1", "--observations", "1",
+                "run", "--env", "ME1", "--env", "ME3", "--observations", "1", "10",
                 "--chains", "6", "--iters", "150", "--burn-in", "50",
-                "--seed", "42", "--workers", workers, "--out", str(out),
+                "--grid-points", "41", "--seed", "42", "--workers", workers,
+                "--out", str(out),
             )
             assert code == 0
             outputs.append(out)
         a, b = outputs
-        for name in artifacts:
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        names = sorted(path.name for path in a.iterdir())
+        assert names == sorted(path.name for path in b.iterdir())
+        assert len(names) == 1 + 4 * 4
+        for name in names:
+            if name != "manifest.json":
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
         assert manifest_without_timing(a) == manifest_without_timing(b)
+        for out in outputs:
+            timing = read_manifest(out)["timing_seconds"]
+            assert set(timing["phases"]) == set(timing["cells"])
+            for phases in timing["phases"].values():
+                assert set(phases) == {"oracle", "sampling_wait", "artifacts"}
+                assert all(seconds >= 0.0 for seconds in phases.values())
 
     def test_different_seeds_differ(self, tmp_path):
         outputs = []

@@ -11,16 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import polarsim.inference
 import reference_chain
 from polarsim import oracle
 from polarsim.inference import (
+    SCALAR_AGENT_STEPS,
     STREAM_BLOCK,
     ChainResult,
     InferenceConfig,
     SampleSet,
+    _pairwise_sum,
     _stream_blocks,
     derive_chain_seed,
     run_chain,
@@ -181,7 +184,7 @@ class TestRunChain:
         ) * r.final_values[1]
         assert r.samples[0, 1] == pytest.approx(analytic, abs=0.0)
 
-    @pytest.mark.parametrize("n_obs", [1, 7, 8, 10, 16, 100])
+    @pytest.mark.parametrize("n_obs", [1, 7, 8, 10, 16, 24, 71, 72, 100])
     def test_incremental_weight_matches_replay_after_many_proposals(self, n_obs):
         cfg = InferenceConfig(n_chains=1, iterations=10_000, burn_in=100, seed=11)
         r = run_chain(ME3, PARAMS, n_obs, cfg, 0)
@@ -229,6 +232,29 @@ def count_pipeline_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(polarsim.inference, "pipeline_from_values", counted)
     return calls
+
+
+# Signed zeros, subnormals, and magnitudes far apart enough that the
+# order of addition changes the rounded sum.
+SUMMANDS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("n", range(SCALAR_AGENT_STEPS + 1))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_equals_numpy_reduce(self, n, data):
+        terms = data.draw(hnp.arrays(np.float64, n, elements=SUMMANDS))
+        assert _pairwise_sum(terms.tolist()).hex() == float(np.add.reduce(terms)).hex()
+
+    def test_negative_zeros_sum_to_positive_zero_like_numpy(self):
+        for n in range(SCALAR_AGENT_STEPS + 1):
+            expected = np.add.reduce(np.full(n, -0.0))
+            assert _pairwise_sum([-0.0] * n).hex() == float(expected).hex()
 
 
 class TestStreamBlocks:
@@ -291,7 +317,7 @@ class TestMatchesReferenceLoop:
         [(ME1, PARAMS), (ME2, PARAMS), (ME3, PARAMS), (HARSH, HARSH_PARAMS)],
         ids=["ME1", "ME2", "ME3", "harsh"],
     )
-    @pytest.mark.parametrize("n_obs", [0, 1, 7, 8, 15, 16, 17, 100])
+    @pytest.mark.parametrize("n_obs", [0, 1, 7, 8, 15, 16, 17, 24, 71, 72, 100])
     def test_bitwise_equal_chains(self, monkeypatch, env, params, n_obs):
         kernels = itertools.product((0.0, 0.05, 0.5), (0.0, 0.7), (False, True))
         for k, (flip_prob, prior_prob, prior_only) in enumerate(kernels):
