@@ -1,7 +1,7 @@
 """polarsim: simulate and infer opinion polarization under mixed media diets.
 
-The package splits into the generative model (`model`), an addressed record
-of every random choice with replay and single-site proposals (`trace`),
+The package splits into the generative model (`model`), the flat layout of
+every random choice with its vectorized judgment pipeline (`trace`),
 parallel Metropolis-Hastings over those traces (`inference`), a quadrature
 posterior used as ground truth (`oracle`), histogram/metrics/figure
 reporting (`report`), and a command line front end (`cli`).

@@ -189,7 +189,7 @@ def _parse_environment(entry: "str | dict") -> MediaEnvironment:
     if "name" not in entry or "weights" not in entry:
         raise UsageError("environments: custom entries need 'name' and 'weights'")
     outlets = list(_DEFAULT_OUTLETS)
-    slots = _require(entry.get("outlets") or {}, dict, "environments.outlets", "an object")
+    slots = _require(entry.get("outlets", {}), dict, "environments.outlets", "an object")
     for slot, overrides in slots.items():
         if slot not in _OUTLET_SLOTS:
             raise UsageError(f"environments.outlets: unknown outlet {slot!r}")
@@ -202,7 +202,7 @@ def _parse_environment(entry: "str | dict") -> MediaEnvironment:
             outlets[index] = replace(
                 outlets[index], **{k: float(v) for k, v in overrides.items()}
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"environments.outlets.{slot}: {exc}") from exc
     try:
         return MediaEnvironment(
@@ -210,7 +210,7 @@ def _parse_environment(entry: "str | dict") -> MediaEnvironment:
             tuple(float(w) for w in entry["weights"]),
             tuple(outlets),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"environments[{entry.get('name')}]: {exc}") from exc
 
 

@@ -1,6 +1,6 @@
-"""Single-site Metropolis-Hastings over addressed traces.
+"""Single-site Metropolis-Hastings over flat trace values.
 
-Each iteration either proposes a new value at one uniformly chosen address
+Each iteration either proposes a new value at one uniformly chosen site
 (prior resample or reflected random walk) or applies a whole-trace mirror
 flip that exchanges the two politics modes exactly. Every iteration takes
 one value from each of six proposal streams, whichever branch runs, and
@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from polarsim.model import MediaEnvironment, ModelParams
+from polarsim.model import MediaEnvironment, ModelParams, _require_finite
 from polarsim.trace import (
     _env_arrays,
     address_count,
@@ -104,6 +104,7 @@ class InferenceConfig:
     disable_likelihood: bool = False
 
     def __post_init__(self) -> None:
+        _require_finite(self, "prior_prob", "walk_scale", "flip_prob")
         if self.n_chains < 1:
             raise ValueError("n_chains must be >= 1")
         if self.iterations < 1:
@@ -179,10 +180,11 @@ def run_chain(
     config: InferenceConfig,
     chain_index: int,
 ) -> ChainResult:
-    """One chain over a fresh prior-initialized trace.
+    """One chain over a fresh prior-drawn value array (``init_trace``).
 
-    State is kept as plain floats with per-step caches (judged politics and
-    the news contest draw of every step), so a step-site proposal recomputes
+    The chain start is scored by one ``pipeline_from_values`` pass. State
+    is kept as plain floats with per-step caches (judged politics and the
+    news contest draw of every step), so a step-site proposal recomputes
     one step and an agent-site proposal recomputes all steps: in a scalar
     loop below ``SCALAR_AGENT_STEPS`` steps, in NumPy from there up. The
     scalar loop sums the step factors in NumPy's pairwise order
@@ -199,7 +201,7 @@ def run_chain(
     """
     chain_seed = derive_chain_seed(config.seed, chain_index)
     rng = np.random.default_rng(chain_seed)
-    trace = init_trace(env, params, n_obs, rng)
+    values = init_trace(n_obs, rng)
 
     like_on = not config.disable_likelihood
     n_addr = address_count(n_obs)
@@ -222,8 +224,8 @@ def run_chain(
     a_low = params.analytic_low
     a_span = params.analytic_high - params.analytic_low
 
-    vals = trace.values.tolist()
-    p_agent, a_agent, pipe = pipeline_from_values(trace.values, n_obs, env, params)
+    vals = values.tolist()
+    p_agent, a_agent, pipe = pipeline_from_values(values, n_obs, env, params)
     p_news = pipe.p_news.tolist()
     x_news = pipe.x_news.tolist()
     if like_on:

@@ -7,8 +7,9 @@ scrutiny, discounted when the item flatters the agent's politics. The
 politics the agent takes away from the item (accepted at face value or
 flipped) is scored against the agent's own leaning by a Gaussian likelihood.
 
-Everything in this module is scalar and pure; the vectorized twins used by
-the samplers live in :mod:`polarsim.trace`.
+Everything in this module is scalar and pure. The sampler scores traces with
+the one vectorized pipeline in :mod:`polarsim.trace`, and the tests hold it
+to these functions.
 """
 
 from __future__ import annotations
@@ -44,6 +45,19 @@ __all__ = [
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _require_finite(obj, *names: str) -> None:
+    """Reject a NaN, an infinity or an integer too large for a float in any
+    of the named fields. Range checks cannot: every comparison with NaN is
+    false, and a bound of infinity passes them."""
+    for name in names:
+        try:
+            finite = math.isfinite(getattr(obj, name))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be a finite number")
+
+
 class OutletKind(Enum):
     """The three stylized outlet archetypes."""
 
@@ -69,6 +83,9 @@ class OutletSpec:
     bimodal: bool
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self, "politics_mean_magnitude", "politics_sd", "truth_mean", "truth_sd"
+        )
         if self.politics_sd <= 0 or self.truth_sd <= 0:
             raise ValueError("outlet emission sds must be positive")
         if self.politics_mean_magnitude < 0:
@@ -103,6 +120,8 @@ class MediaEnvironment:
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.outlets):
             raise ValueError("one weight per outlet required")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError("outlet weights must be finite numbers")
         if any(w < 0 for w in self.weights):
             raise ValueError("outlet weights must be non-negative")
         if abs(sum(self.weights) - 1.0) > 1e-9:
@@ -157,6 +176,15 @@ class ModelParams:
     analytic_high: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self,
+            "discount_scale",
+            "discount_base",
+            "likelihood_sd",
+            "prior_politics_sd",
+            "analytic_low",
+            "analytic_high",
+        )
         if self.discount_scale < 0:
             raise ValueError("discount_scale must be >= 0")
         if not 0 < self.discount_base <= 1:

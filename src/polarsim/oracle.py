@@ -41,14 +41,12 @@ from pathlib import Path
 import numpy as np
 
 from polarsim.model import MediaEnvironment, ModelParams
-from polarsim.trace import step_log_factors_from_units
 
 __all__ = [
     "PosteriorGrid",
     "expected_weight",
     "expected_weight_matrix",
     "posterior",
-    "simulated_weight_mean",
     "write_grid_csv",
 ]
 
@@ -440,44 +438,6 @@ def posterior(
         tail_mass_bound=float(tail),
         truth_axis=truth_axis,
     )
-
-
-def simulated_weight_mean(
-    agent_politics: float,
-    agent_analytic: float,
-    env: MediaEnvironment,
-    params: ModelParams,
-    n_draws: int,
-    seed: int = 0,
-    chunk: int = 1_000_000,
-) -> tuple[float, float]:
-    """Forward Monte Carlo estimate of the per-item weight and its standard
-    error; the independent cross-check route for the quadrature."""
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_draws:
-        m = min(chunk, n_draws - done)
-        factors, _, _ = step_log_factors_from_units(
-            rng.random(m),
-            rng.random(m),
-            rng.standard_normal(m),
-            rng.standard_normal(m),
-            rng.random(m),
-            rng.random(m),
-            agent_politics,
-            agent_analytic,
-            env,
-            params,
-        )
-        weights = np.exp(factors)
-        total += float(weights.sum())
-        total_sq += float((weights * weights).sum())
-        done += m
-    mean = total / n_draws
-    var = max(total_sq / n_draws - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_draws)
 
 
 def write_grid_csv(grid: PosteriorGrid, path: str | Path) -> None:

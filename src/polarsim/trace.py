@@ -1,4 +1,4 @@
-"""Addressed record of every random choice behind one agent's history.
+"""Flat value layout of one agent's history, and its vectorized judgment pipeline.
 
 A trace stores, for an agent plus N consumed news items, one unit-scale
 value per random site: standard-normal innovations for Gaussian draws and
@@ -6,99 +6,36 @@ uniform [0,1] coordinates for everything else. Storing innovations rather
 than realized quantities keeps every site's support fixed, so single-site
 proposals never have to rescale stale values.
 
-Address layout is fixed given N: index 0 is the agent politics innovation,
+The layout is fixed given N: index 0 is the agent politics innovation,
 index 1 the agent analytic coordinate, then six sites per observation step
 in the order (outlet choice, side coin, politics innovation, truth
-innovation, news contest draw, agent contest draw). Steps are numbered
-1..N.
+innovation, news contest draw, agent contest draw).
+
+``pipeline_from_values`` is the single place the judgment math is
+vectorized; the scalar route goes through the :mod:`polarsim.model`
+functions and the two are cross-checked in the test suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from polarsim.model import (
-    AgentParams,
-    Judgment,
-    MediaEnvironment,
-    ModelParams,
-    agent_from_units,
-    emit_news,
-    judge,
-    log_likelihood,
-    sample_outlet,
-    truth_bounds,
-)
+from polarsim.model import MediaEnvironment, ModelParams
 
 __all__ = [
-    "Site",
-    "Address",
-    "ProposalKind",
-    "Trace",
-    "ReplayResult",
     "StepPipeline",
     "address_count",
-    "addresses",
-    "address_index",
-    "index_address",
     "normal_site_mask",
     "init_trace",
-    "replay",
-    "replay_values",
     "pipeline_from_values",
-    "step_log_factor",
-    "step_log_factors_from_units",
-    "step_pipeline",
-    "propose_site",
-    "mirror_flip",
+    "replay_values",
     "reflect_unit",
 ]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-class Site(Enum):
-    """Random-choice kinds appearing in a trace."""
-
-    AGENT_POLITICS = "agent_politics"
-    AGENT_ANALYTIC = "agent_analytic"
-    OUTLET_CHOICE = "outlet_choice"
-    SIDE_COIN = "side_coin"
-    POLITICS_INNOVATION = "politics_innovation"
-    TRUTH_INNOVATION = "truth_innovation"
-    XN_INNOVATION = "xn_innovation"
-    XA_INNOVATION = "xa_innovation"
-
-    @property
-    def is_normal(self) -> bool:
-        """True for sites holding standard-normal innovations."""
-        return self in _NORMAL_SITES
-
-    @property
-    def per_step(self) -> bool:
-        return self not in (Site.AGENT_POLITICS, Site.AGENT_ANALYTIC)
-
-
-_NORMAL_SITES = frozenset(
-    {Site.AGENT_POLITICS, Site.POLITICS_INNOVATION, Site.TRUTH_INNOVATION}
-)
-
-# Per-step column order within the flat value array.
-STEP_SITES = (
-    Site.OUTLET_CHOICE,
-    Site.SIDE_COIN,
-    Site.POLITICS_INNOVATION,
-    Site.TRUTH_INNOVATION,
-    Site.XN_INNOVATION,
-    Site.XA_INNOVATION,
-)
-
-_STEP_OFFSET = {site: k for k, site in enumerate(STEP_SITES)}
 
 # Column indices within one step's six slots.
 _COL_OUTLET = 0
@@ -109,50 +46,8 @@ _COL_XN = 4
 _COL_XA = 5
 
 
-class Address(NamedTuple):
-    """One random choice: a site kind plus its observation step (0 for agent sites)."""
-
-    site: Site
-    step: int
-
-
-class ProposalKind(Enum):
-    PRIOR_RESAMPLE = "prior_resample"
-    RANDOM_WALK = "random_walk"
-
-
 def address_count(n_observations: int) -> int:
     return 6 * n_observations + 2
-
-
-def addresses(n_observations: int) -> Iterator[Address]:
-    """All addresses of an N-observation trace, in storage order."""
-    yield Address(Site.AGENT_POLITICS, 0)
-    yield Address(Site.AGENT_ANALYTIC, 0)
-    for step in range(1, n_observations + 1):
-        for site in STEP_SITES:
-            yield Address(site, step)
-
-
-def address_index(address: Address, n_observations: int) -> int:
-    """Position of an address in the flat value array."""
-    site, step = address
-    if not site.per_step:
-        if step != 0:
-            raise ValueError(f"agent site {site.name} must use step 0")
-        return 0 if site is Site.AGENT_POLITICS else 1
-    if not 1 <= step <= n_observations:
-        raise ValueError(f"step {step} outside 1..{n_observations}")
-    return 2 + 6 * (step - 1) + _STEP_OFFSET[site]
-
-
-def index_address(index: int, n_observations: int) -> Address:
-    if index == 0:
-        return Address(Site.AGENT_POLITICS, 0)
-    if index == 1:
-        return Address(Site.AGENT_ANALYTIC, 0)
-    step, offset = divmod(index - 2, 6)
-    return Address(STEP_SITES[offset], step + 1)
 
 
 def normal_site_mask(n_observations: int) -> np.ndarray:
@@ -176,147 +71,48 @@ def _env_arrays(env: MediaEnvironment) -> tuple[np.ndarray, ...]:
     return cums, mag, p_sd, t_mean, t_sd
 
 
-@dataclass
-class Trace:
-    """Value-like bundle of unit values plus the cached likelihood breakdown.
-
-    ``log_weight`` is the sum of ``step_log_factors``; proposals maintain it
-    incrementally, and ``replay`` recomputes it from scratch.
-    """
-
-    values: np.ndarray
-    n_observations: int
-    log_weight: float
-    step_log_factors: np.ndarray
-
-    def value(self, address: Address) -> float:
-        return float(self.values[address_index(address, self.n_observations)])
-
-    def addresses(self) -> Iterator[Address]:
-        return addresses(self.n_observations)
-
-    def agent(self, params: ModelParams) -> AgentParams:
-        return agent_from_units(float(self.values[0]), float(self.values[1]), params)
-
-    def copy(self) -> "Trace":
-        return Trace(
-            self.values.copy(),
-            self.n_observations,
-            self.log_weight,
-            self.step_log_factors.copy(),
-        )
-
-    def dump_lines(self) -> list[str]:
-        """One ``site,step,value`` line per address, in storage order."""
-        return [
-            f"{addr.site.value},{addr.step},{float(self.values[i])!r}"
-            for i, addr in enumerate(self.addresses())
-        ]
-
-
-@dataclass(frozen=True)
-class ReplayResult:
-    agent: AgentParams
-    judgments: tuple[Judgment, ...]
-    log_weight: float
-    step_log_factors: np.ndarray
-
-
 class StepPipeline(NamedTuple):
-    """Every intermediate of the vectorized judgment pipeline, one entry per step."""
+    """Per-step outputs of the judgment pipeline, one entry per step: the
+    news politics and news contest draw the sampler caches, the truth
+    judgments, the judged politics and the log factors."""
 
-    outlet: np.ndarray
     p_news: np.ndarray
-    b_news: np.ndarray
-    b_agent: np.ndarray
     x_news: np.ndarray
-    x_agent: np.ndarray
     accepted: np.ndarray
     p_judged: np.ndarray
     log_factors: np.ndarray
 
 
-def step_pipeline(
-    u_outlet: np.ndarray,
-    u_side: np.ndarray,
-    z_politics: np.ndarray,
-    z_truth: np.ndarray,
-    u_xn: np.ndarray,
-    u_xa: np.ndarray,
-    agent_politics: float,
-    agent_analytic: float,
-    env: MediaEnvironment,
-    params: ModelParams,
-) -> StepPipeline:
-    """Vectorized judgment pipeline for a batch of steps.
-
-    This is the single place the model math is vectorized; the scalar route
-    goes through the :mod:`polarsim.model` functions and the two are
-    cross-checked in the test suite.
-    """
+def pipeline_from_values(
+    values: np.ndarray, n_observations: int, env: MediaEnvironment, params: ModelParams
+) -> tuple[float, float, StepPipeline]:
+    """Agent parameters plus the judgment pipeline of every step of a flat
+    value array."""
+    agent_politics = params.prior_politics_sd * float(values[0])
+    agent_analytic = (
+        params.analytic_low + (params.analytic_high - params.analytic_low) * float(values[1])
+    )
+    cols = values[2:].reshape(n_observations, 6)
     cums, mag, p_sd, t_mean, t_sd = _env_arrays(env)
-    outlet = np.minimum(np.searchsorted(cums, u_outlet, side="right"), len(cums) - 1)
-    side_sign = np.where(u_side < 0.5, 1.0, -1.0)
-    p_news = side_sign * mag[outlet] + p_sd[outlet] * z_politics
-    t_news = t_mean[outlet] + t_sd[outlet] * z_truth
+    outlet = np.minimum(
+        np.searchsorted(cums, cols[:, _COL_OUTLET], side="right"), len(cums) - 1
+    )
+    side_sign = np.where(cols[:, _COL_SIDE] < 0.5, 1.0, -1.0)
+    p_news = side_sign * mag[outlet] + p_sd[outlet] * cols[:, _COL_ZPOL]
+    t_news = t_mean[outlet] + t_sd[outlet] * cols[:, _COL_ZTRUTH]
 
     b_news = np.maximum(0.0, t_news)
     discount = params.discount_scale * params.discount_base ** np.abs(p_news - agent_politics)
     b_agent = np.maximum(0.0, agent_analytic - discount)
-    x_news = u_xn * b_news
-    x_agent = u_xa * b_agent
+    x_news = cols[:, _COL_XN] * b_news
+    x_agent = cols[:, _COL_XA] * b_agent
 
     accepted = x_news > x_agent
     p_judged = np.where(accepted, p_news, -p_news)
 
     z = (p_judged - agent_politics) / params.likelihood_sd
     factors = -0.5 * z * z - math.log(params.likelihood_sd) - _HALF_LOG_2PI
-    return StepPipeline(
-        outlet, p_news, b_news, b_agent, x_news, x_agent, accepted, p_judged, factors
-    )
-
-
-def step_log_factors_from_units(
-    u_outlet: np.ndarray,
-    u_side: np.ndarray,
-    z_politics: np.ndarray,
-    z_truth: np.ndarray,
-    u_xn: np.ndarray,
-    u_xa: np.ndarray,
-    agent_politics: float,
-    agent_analytic: float,
-    env: MediaEnvironment,
-    params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log factors, truth judgments and judged politics for a batch of steps."""
-    pipe = step_pipeline(
-        u_outlet, u_side, z_politics, z_truth, u_xn, u_xa,
-        agent_politics, agent_analytic, env, params,
-    )
-    return pipe.log_factors, pipe.accepted, pipe.p_judged
-
-
-def pipeline_from_values(
-    values: np.ndarray, n_observations: int, env: MediaEnvironment, params: ModelParams
-) -> tuple[float, float, StepPipeline]:
-    """Agent parameters plus the full step pipeline for a flat value array."""
-    agent_politics = params.prior_politics_sd * float(values[0])
-    agent_analytic = (
-        params.analytic_low + (params.analytic_high - params.analytic_low) * float(values[1])
-    )
-    cols = values[2:].reshape(n_observations, 6)
-    pipe = step_pipeline(
-        cols[:, _COL_OUTLET],
-        cols[:, _COL_SIDE],
-        cols[:, _COL_ZPOL],
-        cols[:, _COL_ZTRUTH],
-        cols[:, _COL_XN],
-        cols[:, _COL_XA],
-        agent_politics,
-        agent_analytic,
-        env,
-        params,
-    )
+    pipe = StepPipeline(p_news, x_news, accepted, p_judged, factors)
     return agent_politics, agent_analytic, pipe
 
 
@@ -334,48 +130,9 @@ def replay_values(
     return agent_politics, agent_analytic, pipe.log_factors, pipe.accepted, pipe.p_judged
 
 
-def replay(trace: Trace, env: MediaEnvironment, params: ModelParams) -> ReplayResult:
-    """Deterministically re-walk a trace: same values in, same result out."""
-    agent_politics, agent_analytic, factors, accepted, p_judged = replay_values(
-        trace.values, trace.n_observations, env, params
-    )
-    judgments = tuple(
-        Judgment(bool(a), float(p)) for a, p in zip(accepted, p_judged)
-    )
-    agent = AgentParams(agent_politics, agent_analytic)
-    return ReplayResult(agent, judgments, float(factors.sum()), factors)
-
-
-def step_log_factor(
-    values: np.ndarray,
-    step: int,
-    agent_politics: float,
-    agent_analytic: float,
-    env: MediaEnvironment,
-    params: ModelParams,
-) -> float:
-    """Scalar log factor of a single step, composed from the model functions."""
-    base = 2 + 6 * (step - 1)
-    outlet = env.outlets[sample_outlet(env, float(values[base + _COL_OUTLET]))]
-    side = float(values[base + _COL_SIDE]) < 0.5
-    news = emit_news(
-        outlet, side, float(values[base + _COL_ZPOL]), float(values[base + _COL_ZTRUTH])
-    )
-    agent = AgentParams(agent_politics, agent_analytic)
-    b_news, b_agent = truth_bounds(news, agent, params)
-    x_news = float(values[base + _COL_XN]) * b_news
-    x_agent = float(values[base + _COL_XA]) * b_agent
-    judgment = judge(news, x_news, x_agent)
-    return log_likelihood(judgment.politics_judgment, agent_politics, params)
-
-
-def init_trace(
-    env: MediaEnvironment,
-    params: ModelParams,
-    n_observations: int,
-    rng: np.random.Generator,
-) -> Trace:
-    """Fresh trace with every address drawn from its unit prior."""
+def init_trace(n_observations: int, rng: np.random.Generator) -> np.ndarray:
+    """Fresh flat value array with every site drawn from its unit prior:
+    the normal sites first, in layout order, then the uniform ones."""
     if n_observations < 0:
         raise ValueError("n_observations must be >= 0")
     count = address_count(n_observations)
@@ -383,8 +140,7 @@ def init_trace(
     mask = normal_site_mask(n_observations)
     values[mask] = rng.standard_normal(int(mask.sum()))
     values[~mask] = rng.random(count - int(mask.sum()))
-    _, _, factors, _, _ = replay_values(values, n_observations, env, params)
-    return Trace(values, n_observations, float(factors.sum()), factors)
+    return values
 
 
 def reflect_unit(u: float) -> float:
@@ -393,70 +149,3 @@ def reflect_unit(u: float) -> float:
     if u < 0.0:
         u += 2.0
     return 2.0 - u if u > 1.0 else u
-
-
-def propose_site(
-    trace: Trace,
-    address: Address,
-    rng: np.random.Generator,
-    env: MediaEnvironment,
-    params: ModelParams,
-    kind: ProposalKind = ProposalKind.PRIOR_RESAMPLE,
-    walk_scale: float = 0.25,
-) -> tuple[Trace, float]:
-    """One single-site proposal; returns the modified copy and the log
-    proposal correction to add to the weight delta in the accept ratio.
-
-    Prior resamples and reflected uniform walks are symmetric (correction 0);
-    a walk on a normal site pays the prior density ratio.
-    """
-    n = trace.n_observations
-    idx = address_index(address, n)
-    new = trace.copy()
-    old_value = float(trace.values[idx])
-
-    if kind is ProposalKind.PRIOR_RESAMPLE:
-        value = float(rng.standard_normal()) if address.site.is_normal else float(rng.random())
-        correction = 0.0
-    elif kind is ProposalKind.RANDOM_WALK:
-        eps = walk_scale * float(rng.standard_normal())
-        if address.site.is_normal:
-            value = old_value + eps
-            correction = 0.5 * (old_value * old_value - value * value)
-        else:
-            value = reflect_unit(old_value + eps)
-            correction = 0.0
-    else:
-        raise ValueError(f"unknown proposal kind {kind!r}")
-
-    new.values[idx] = value
-    if address.site.per_step:
-        agent_politics = params.prior_politics_sd * float(new.values[0])
-        agent_analytic = (
-            params.analytic_low
-            + (params.analytic_high - params.analytic_low) * float(new.values[1])
-        )
-        factor = step_log_factor(new.values, address.step, agent_politics, agent_analytic, env, params)
-        delta = factor - float(new.step_log_factors[address.step - 1])
-        new.step_log_factors[address.step - 1] = factor
-        new.log_weight += delta
-    else:
-        _, _, factors, _, _ = replay_values(new.values, n, env, params)
-        new.step_log_factors = factors
-        new.log_weight = float(factors.sum())
-    return new, correction
-
-
-def mirror_flip(trace: Trace) -> Trace:
-    """Reflect the whole trace through politics = 0.
-
-    Negates the agent and per-item politics innovations and flips every side
-    coin. The judgment pipeline is mirror-symmetric, so every log factor is
-    unchanged; the copy keeps the cached weight.
-    """
-    new = trace.copy()
-    new.values[0] = -new.values[0]
-    cols = new.values[2:].reshape(trace.n_observations, 6)
-    cols[:, _COL_ZPOL] = -cols[:, _COL_ZPOL]
-    cols[:, _COL_SIDE] = 1.0 - cols[:, _COL_SIDE]
-    return new

@@ -45,7 +45,7 @@ def reference_run_chain(
     """
     chain_seed = derive_chain_seed(config.seed, chain_index)
     rng = np.random.default_rng(chain_seed)
-    trace = init_trace(env, params, n_obs, rng)
+    values = init_trace(n_obs, rng)
 
     iters = config.iterations
     # One value per stream per iteration, drawn up front: which branches run
@@ -77,8 +77,8 @@ def reference_run_chain(
     a_low = params.analytic_low
     a_span = params.analytic_high - params.analytic_low
 
-    vals = trace.values.tolist()
-    p_agent, a_agent, pipe = pipeline_from_values(trace.values, n_obs, env, params)
+    vals = values.tolist()
+    p_agent, a_agent, pipe = pipeline_from_values(values, n_obs, env, params)
     p_news = pipe.p_news.tolist()
     x_news = pipe.x_news.tolist()
     if like_on:

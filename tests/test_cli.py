@@ -2,11 +2,14 @@
 
 import json
 import multiprocessing
+import typing
 
 import numpy as np
 import pytest
 
 from polarsim import cli
+from polarsim.inference import InferenceConfig
+from polarsim.model import ModelParams, OutletSpec
 
 
 def run_cli(*argv):
@@ -137,6 +140,20 @@ class TestConfigResolution:
         assert again == config
 
 
+def float_fields(cls):
+    return [name for name, kind in typing.get_type_hints(cls).items() if kind is float]
+
+
+# Every float a config can set: model and inference fields, one outlet's
+# emission fields and one mixture weight.
+NON_FINITE_TARGETS = (
+    [("model", f) for f in float_fields(ModelParams)]
+    + [("inference", f) for f in float_fields(InferenceConfig)]
+    + [("outlets", f) for f in float_fields(OutletSpec)]
+    + [("weights", 0)]
+)
+
+
 class TestExitCodes:
     def test_unknown_environment_is_usage_error(self, tmp_path, capsys):
         code = run_cli("run", "--env", "ME9", "--out", str(tmp_path / "o"))
@@ -174,6 +191,22 @@ class TestExitCodes:
             ({"inference": {"disable_likelihood": 1}}, "inference.disable_likelihood"),
             ({"inference": {"n_chains": True}}, "inference.n_chains"),
             ({"inference": {"thin": 2.0}}, "inference.thin"),
+            *(
+                (
+                    {"environments": [{"name": "x", "weights": [1.0, 0.0, 0.0], "outlets": falsy}]},
+                    "environments.outlets",
+                )
+                for falsy in ([], 0, "", None)
+            ),
+            (
+                {
+                    "environments": [
+                        {"name": "x", "weights": [1.0, 0.0, 0.0], "outlets": {"premium_centrist": {"truth_sd": 10**400}}}
+                    ]
+                },
+                "environments.outlets.premium_centrist",
+            ),
+            ({"model": {"likelihood_sd": 10**400}}, "model"),
         ],
     )
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, data, key):
@@ -182,6 +215,33 @@ class TestExitCodes:
         code = run_cli("print-config", "--config", str(path))
         assert code == 2
         assert f"error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("section, field", NON_FINITE_TARGETS)
+    def test_non_finite_number_exits_2_naming_the_key(
+        self, tmp_path, capsys, section, field, bad
+    ):
+        env = {"name": "x", "weights": [0.4, 0.5, 0.1], "outlets": {}}
+        data = {"environments": [env], "observation_counts": [1]}
+        if section == "weights":
+            env["weights"][field] = float(bad)
+        elif section == "outlets":
+            env["outlets"]["fake_news_partisan"] = {field: float(bad)}
+        else:
+            data[section] = {field: float(bad)}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))  # json writes NaN and +-Infinity literally
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--config", str(path), "--chains", "2", "--iters", "20",
+            "--burn-in", "10", "--grid-points", "41", "--out", str(out),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        prefix = {"weights": "environments[x]", "outlets": "environments.outlets"}
+        assert prefix.get(section, section) in err
+        assert ("weights" if section == "weights" else field) in err
+        assert not (out / "manifest.json").exists()
 
     def test_validation_tolerance_needs_known_counts(self, tmp_path, capsys):
         code = run_cli("validate", "--observations", "7", "--out", str(tmp_path / "o"))

@@ -40,12 +40,9 @@ from polarsim.model import (
     ModelParams,
 )
 from polarsim.trace import (
-    Address,
-    ProposalKind,
-    Site,
     init_trace,
+    normal_site_mask,
     pipeline_from_values,
-    propose_site,
     reflect_unit,
     replay_values,
 )
@@ -195,8 +192,6 @@ class TestRunChain:
         cfg = InferenceConfig(n_chains=1, iterations=5_000, burn_in=100, seed=13)
         r = run_chain(ME2, PARAMS, 4, cfg, 0)
         vals = r.final_values
-        from polarsim.trace import normal_site_mask
-
         uniform = vals[~normal_site_mask(4)]
         assert np.all(uniform >= 0.0) and np.all(uniform <= 1.0)
 
@@ -264,7 +259,7 @@ class TestStreamBlocks:
     def test_blocks_equal_whole_stream_draws(self, iterations):
         def after_init():
             rng = np.random.default_rng(31)
-            init_trace(ME2, PARAMS, 5, rng)
+            init_trace(5, rng)
             return rng
 
         rng = after_init()
@@ -356,11 +351,11 @@ class TestMatchesReferenceLoop:
     def test_planted_fold_coins_take_the_scored_flip(
         self, monkeypatch, coin, n_obs, steps
     ):
-        def planted(env, params, n, rng):
-            trace = init_trace(env, params, n, rng)
+        def planted(n, rng):
+            values = init_trace(n, rng)
             for s in steps:
-                trace.values[3 + 6 * s] = coin
-            return trace
+                values[3 + 6 * s] = coin
+            return values
 
         monkeypatch.setattr(polarsim.inference, "init_trace", planted)
         monkeypatch.setattr(reference_chain, "init_trace", planted)
@@ -533,38 +528,40 @@ class TestAgainstOracle:
         assert tv_to_grid(ss.politics, grid) < 0.03
 
     def test_frozen_site_chain_matches_conditional_density(self):
-        # Single-site MH restricted to the agent-politics address must have
-        # the conditional density (prior times the step factors at the other
-        # frozen sites) as its stationary law.
+        # Single-site MH restricted to the agent-politics site must have the
+        # conditional density (prior times the step factors at the other
+        # frozen sites) as its stationary law. The loop is local to the test
+        # and scores every proposal by a full replay.
         env = ME2
         rng = np.random.default_rng(50)
-        trace = init_trace(env, PARAMS, 1, rng)
+        values = init_trace(1, rng)
 
-        zs = np.linspace(-4.0, 4.0, 801)
-        log_dens = np.empty_like(zs)
-        for i, z in enumerate(zs):
-            vals = trace.values.copy()
+        def log_weight(z):
+            vals = values.copy()
             vals[0] = z
             _, _, factors, _, _ = replay_values(vals, 1, env, PARAMS)
-            log_dens[i] = -0.5 * z * z + float(factors.sum())
+            return float(factors.sum())
+
+        zs = np.linspace(-4.0, 4.0, 801)
+        log_dens = np.array([-0.5 * z * z + log_weight(z) for z in zs])
         dens = np.exp(log_dens - log_dens.max())
         dens /= np.trapezoid(dens, zs)
 
-        address = Address(Site.AGENT_POLITICS, 0)
-        current = trace
+        z, w = float(values[0]), log_weight(float(values[0]))
         kept = np.empty(100_000)
         for i in range(kept.size + 500):
-            kind = (
-                ProposalKind.PRIOR_RESAMPLE
-                if rng.random() < 0.7
-                else ProposalKind.RANDOM_WALK
-            )
-            candidate, corr = propose_site(current, address, rng, env, PARAMS, kind)
-            delta = candidate.log_weight - current.log_weight + corr
+            if rng.random() < 0.7:
+                z_new = float(rng.standard_normal())
+                corr = 0.0
+            else:
+                z_new = z + 0.25 * float(rng.standard_normal())
+                corr = 0.5 * (z * z - z_new * z_new)
+            w_new = log_weight(z_new)
+            delta = w_new - w + corr
             if delta >= 0.0 or rng.random() < math.exp(delta):
-                current = candidate
+                z, w = z_new, w_new
             if i >= 500:
-                kept[i - 500] = current.values[0]
+                kept[i - 500] = z
 
         sb, sout = bin_fractions(kept)
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(zs))])

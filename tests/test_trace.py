@@ -1,9 +1,7 @@
-"""Tests for the addressed trace: layout, replay, single-site proposals,
-and the mirror reflection."""
+"""Tests for the flat trace layout, the vectorized judgment pipeline against
+the scalar model functions, and the mirror reflection."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -17,23 +15,14 @@ from polarsim.model import (
     judge,
     log_likelihood,
     sample_outlet,
+    truth_bounds,
 )
 from polarsim.trace import (
-    Address,
-    ProposalKind,
-    Site,
-    STEP_SITES,
     address_count,
-    address_index,
-    addresses,
-    index_address,
     init_trace,
-    mirror_flip,
     normal_site_mask,
-    propose_site,
     reflect_unit,
-    replay,
-    step_log_factor,
+    replay_values,
 )
 
 ME1 = BUILTIN_ENVIRONMENTS["ME1"]
@@ -41,23 +30,36 @@ ME3 = BUILTIN_ENVIRONMENTS["ME3"]
 PARAMS = ModelParams()
 
 
-def scalar_replay_log_weight(values, n_obs, env, params):
-    """Independent scalar route through the model functions."""
+def scalar_step(values, step, agent, env, params):
+    """Independent scalar route through the model functions for one step
+    (numbered from 1): the judgment and its log factor."""
+    base = 2 + 6 * (step - 1)
+    outlet = env.outlets[sample_outlet(env, float(values[base]))]
+    side = float(values[base + 1]) < 0.5
+    news = emit_news(outlet, side, float(values[base + 2]), float(values[base + 3]))
+    b_news, b_agent = truth_bounds(news, agent, params)
+    judgment = judge(news, float(values[base + 4]) * b_news, float(values[base + 5]) * b_agent)
+    return judgment, log_likelihood(judgment.politics_judgment, agent.politics, params)
+
+
+def scalar_log_weight(values, n_obs, env, params):
     agent = agent_from_units(float(values[0]), float(values[1]), params)
-    total = 0.0
-    for step in range(1, n_obs + 1):
-        base = 2 + 6 * (step - 1)
-        outlet = env.outlets[sample_outlet(env, float(values[base]))]
-        side = float(values[base + 1]) < 0.5
-        news = emit_news(outlet, side, float(values[base + 2]), float(values[base + 3]))
-        b_news = max(0.0, news.truth)
-        discount = params.discount_scale * params.discount_base ** abs(
-            news.politics - agent.politics
-        )
-        b_agent = max(0.0, agent.analytic - discount)
-        judgment = judge(news, float(values[base + 4]) * b_news, float(values[base + 5]) * b_agent)
-        total += log_likelihood(judgment.politics_judgment, agent.politics, params)
-    return total
+    return sum(scalar_step(values, s, agent, env, params)[1] for s in range(1, n_obs + 1))
+
+
+def log_weight(values, n_obs, env):
+    return float(replay_values(values, n_obs, env, PARAMS)[2].sum())
+
+
+def mirror(values, n_obs):
+    """Reflect a value array through politics = 0: negate the agent and
+    per-item politics innovations and flip every side coin."""
+    flipped = values.copy()
+    flipped[0] = -flipped[0]
+    cols = flipped[2:].reshape(n_obs, 6)
+    cols[:, 1] = 1.0 - cols[:, 1]
+    cols[:, 2] = -cols[:, 2]
+    return flipped
 
 
 class TestAddressing:
@@ -66,55 +68,37 @@ class TestAddressing:
         assert address_count(10) == 62
         assert address_count(100) == 602
 
-    def test_enumeration_is_complete_and_unique(self):
-        addrs = list(addresses(5))
-        assert len(addrs) == address_count(5)
-        assert len(set(addrs)) == len(addrs)
-        agent_addrs = [a for a in addrs if not a.site.per_step]
-        assert agent_addrs == [Address(Site.AGENT_POLITICS, 0), Address(Site.AGENT_ANALYTIC, 0)]
-        steps = {a.step for a in addrs if a.site.per_step}
-        assert steps == set(range(1, 6))
-
-    def test_index_roundtrip(self):
-        n = 3
-        for i, addr in enumerate(addresses(n)):
-            assert address_index(addr, n) == i
-            assert index_address(i, n) == addr
-
-    def test_bad_addresses_rejected(self):
-        with pytest.raises(ValueError):
-            address_index(Address(Site.AGENT_POLITICS, 1), 4)
-        with pytest.raises(ValueError):
-            address_index(Address(Site.XN_INNOVATION, 0), 4)
-        with pytest.raises(ValueError):
-            address_index(Address(Site.XN_INNOVATION, 5), 4)
-
     def test_normal_site_mask(self):
         mask = normal_site_mask(4)
-        # agent politics plus two innovations per step
-        assert int(mask.sum()) == 1 + 2 * 4
-        for i, addr in enumerate(addresses(4)):
-            assert mask[i] == addr.site.is_normal
+        # agent politics plus the politics and truth innovations of each step
+        expected = np.zeros(address_count(4), dtype=bool)
+        expected[0] = True
+        for step in range(4):
+            expected[2 + 6 * step + 2] = expected[2 + 6 * step + 3] = True
+        np.testing.assert_array_equal(mask, expected)
 
 
 class TestInitTrace:
     def test_deterministic_under_seed(self):
-        a = init_trace(ME1, PARAMS, 7, np.random.default_rng(42))
-        b = init_trace(ME1, PARAMS, 7, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.log_weight == b.log_weight
+        a = init_trace(7, np.random.default_rng(42))
+        b = init_trace(7, np.random.default_rng(42))
+        np.testing.assert_array_equal(a, b)
+
+    def test_draws_normals_then_uniforms(self):
+        values = init_trace(6, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        mask = normal_site_mask(6)
+        np.testing.assert_array_equal(values[mask], rng.standard_normal(int(mask.sum())))
+        np.testing.assert_array_equal(values[~mask], rng.random(int((~mask).sum())))
 
     def test_unit_support(self):
-        t = init_trace(ME3, PARAMS, 50, np.random.default_rng(1))
-        mask = normal_site_mask(50)
-        uniforms = t.values[~mask]
+        values = init_trace(50, np.random.default_rng(1))
+        uniforms = values[~normal_site_mask(50)]
         assert np.all((uniforms >= 0.0) & (uniforms <= 1.0))
 
-    def test_weight_matches_replay(self):
-        t = init_trace(ME1, PARAMS, 12, np.random.default_rng(9))
-        result = replay(t, ME1, PARAMS)
-        assert t.log_weight == pytest.approx(result.log_weight, abs=1e-12)
-        np.testing.assert_allclose(t.step_log_factors, result.step_log_factors)
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError):
+            init_trace(-1, np.random.default_rng(0))
 
 
 class TestReplay:
@@ -122,70 +106,66 @@ class TestReplay:
         # Zero innovations on ME1: centrist item at the truth mode, judged
         # not-true by the tie rule, judged politics 0 against agent politics
         # 0, one factor log N(0; 0, 0.25).
-        t = init_trace(ME1, PARAMS, 1, np.random.default_rng(0))
-        t.values[:] = 0.0
-        result = replay(t, ME1, PARAMS)
-        assert result.log_weight == pytest.approx(0.46735582791521796, abs=1e-12)
-        assert result.judgments[0].truth_judgment is False
-        assert result.judgments[0].politics_judgment == 0.0
-        assert result.agent.politics == 0.0
-        assert result.agent.analytic == 0.5
+        p_a, a_a, factors, accepted, p_judged = replay_values(np.zeros(8), 1, ME1, PARAMS)
+        assert float(factors.sum()) == pytest.approx(0.46735582791521796, abs=1e-12)
+        assert not accepted[0]
+        assert p_judged[0] == 0.0
+        assert p_a == 0.0
+        assert a_a == 0.5
 
     def test_bit_for_bit_determinism(self):
-        t = init_trace(ME3, PARAMS, 20, np.random.default_rng(4))
-        r1 = replay(t, ME3, PARAMS)
-        r2 = replay(t, ME3, PARAMS)
-        assert r1.log_weight == r2.log_weight
-        np.testing.assert_array_equal(r1.step_log_factors, r2.step_log_factors)
+        values = init_trace(20, np.random.default_rng(4))
+        first = replay_values(values, 20, ME3, PARAMS)
+        second = replay_values(values, 20, ME3, PARAMS)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
 
     def test_matches_scalar_composition(self):
         # Dual route: vectorized replay against the plain model functions.
         rng = np.random.default_rng(42)
         for env in (ME1, ME3):
             for n_obs in (1, 2, 17):
-                t = init_trace(env, PARAMS, n_obs, rng)
-                expected = scalar_replay_log_weight(t.values, n_obs, env, PARAMS)
-                assert replay(t, env, PARAMS).log_weight == pytest.approx(expected, abs=1e-10)
+                values = init_trace(n_obs, rng)
+                expected = scalar_log_weight(values, n_obs, env, PARAMS)
+                assert log_weight(values, n_obs, env) == pytest.approx(expected, abs=1e-10)
 
     def test_hand_composed_two_step_trace(self):
         n = 2
-        t = init_trace(ME1, PARAMS, n, np.random.default_rng(0))
-        t.values[:] = 0.0
-        t.values[0] = 0.4  # agent politics innovation
-        t.values[1] = 0.5  # analytic 0.75
+        values = np.zeros(address_count(n))
+        values[0] = 0.4  # agent politics innovation
+        values[1] = 0.5  # analytic 0.75
         base2 = 2 + 6
-        t.values[base2 + 0] = 0.95  # fake news outlet
-        t.values[base2 + 1] = 0.8  # negative side
-        t.values[base2 + 4] = 0.9  # strong news contest draw
-        t.values[base2 + 5] = 0.1
-        expected = scalar_replay_log_weight(t.values, n, ME1, PARAMS)
-        result = replay(t, ME1, PARAMS)
-        assert result.log_weight == pytest.approx(expected, abs=1e-12)
-        assert len(result.judgments) == 2
+        values[base2 + 0] = 0.95  # fake news outlet
+        values[base2 + 1] = 0.8  # negative side
+        values[base2 + 4] = 0.9  # strong news contest draw
+        values[base2 + 5] = 0.1
+        expected = scalar_log_weight(values, n, ME1, PARAMS)
+        _, _, factors, accepted, _ = replay_values(values, n, ME1, PARAMS)
+        assert float(factors.sum()) == pytest.approx(expected, abs=1e-12)
+        assert len(accepted) == 2
 
     def test_judgment_count_and_agent(self):
-        t = init_trace(ME1, PARAMS, 9, np.random.default_rng(2))
-        result = replay(t, ME1, PARAMS)
-        assert len(result.judgments) == 9
-        assert result.agent.politics == pytest.approx(t.values[0])
+        values = init_trace(9, np.random.default_rng(2))
+        p_a, a_a, factors, accepted, p_judged = replay_values(values, 9, ME1, PARAMS)
+        assert len(factors) == len(accepted) == len(p_judged) == 9
+        assert p_a == pytest.approx(values[0])
         lo, hi = PARAMS.analytic_low, PARAMS.analytic_high
-        assert result.agent.analytic == pytest.approx(lo + (hi - lo) * t.values[1])
+        assert a_a == pytest.approx(lo + (hi - lo) * values[1])
 
 
 class TestStepLogFactor:
     def test_matches_vectorized_factors(self):
         rng = np.random.default_rng(42)
         for env in (ME1, ME3):
-            t = init_trace(env, PARAMS, 25, rng)
-            result = replay(t, env, PARAMS)
-            agent = result.agent
+            values = init_trace(25, rng)
+            p_a, a_a, factors, accepted, p_judged = replay_values(values, 25, env, PARAMS)
+            agent = agent_from_units(float(values[0]), float(values[1]), PARAMS)
+            assert (agent.politics, agent.analytic) == (p_a, a_a)
             for step in (1, 7, 25):
-                scalar = step_log_factor(
-                    t.values, step, agent.politics, agent.analytic, env, PARAMS
-                )
-                assert scalar == pytest.approx(
-                    float(result.step_log_factors[step - 1]), abs=1e-12
-                )
+                judgment, factor = scalar_step(values, step, agent, env, PARAMS)
+                assert factor == pytest.approx(float(factors[step - 1]), abs=1e-12)
+                assert judgment.truth_judgment == accepted[step - 1]
+                assert judgment.politics_judgment == p_judged[step - 1]
 
 
 class TestReflectUnit:
@@ -204,123 +184,33 @@ class TestReflectUnit:
         assert reflect_unit(u) == u
 
 
-class TestProposeSite:
-    def test_prior_resample_correction_is_zero(self):
-        t = init_trace(ME1, PARAMS, 3, np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        for addr in addresses(3):
-            _, corr = propose_site(t, addr, rng, ME1, PARAMS, ProposalKind.PRIOR_RESAMPLE)
-            assert corr == 0.0
-
-    def test_uniform_walk_correction_is_zero(self):
-        t = init_trace(ME1, PARAMS, 3, np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        for addr in addresses(3):
-            if addr.site.is_normal:
-                continue
-            _, corr = propose_site(t, addr, rng, ME1, PARAMS, ProposalKind.RANDOM_WALK)
-            assert corr == 0.0
-
-    def test_normal_walk_correction_is_prior_ratio(self):
-        t = init_trace(ME1, PARAMS, 3, np.random.default_rng(0))
-        addr = Address(Site.AGENT_POLITICS, 0)
-        old = t.value(addr)
-        new, corr = propose_site(
-            t, addr, np.random.default_rng(5), ME1, PARAMS, ProposalKind.RANDOM_WALK
-        )
-        z_new = new.value(addr)
-        assert corr == pytest.approx(0.5 * (old * old - z_new * z_new), abs=1e-12)
-
-    def test_original_trace_untouched(self):
-        t = init_trace(ME1, PARAMS, 4, np.random.default_rng(0))
-        before = t.values.copy()
-        propose_site(t, Address(Site.XN_INNOVATION, 2), np.random.default_rng(1), ME1, PARAMS)
-        np.testing.assert_array_equal(t.values, before)
-
-    def test_step_proposal_changes_only_that_factor(self):
-        t = init_trace(ME3, PARAMS, 10, np.random.default_rng(3))
-        addr = Address(Site.XA_INNOVATION, 6)
-        new, _ = propose_site(t, addr, np.random.default_rng(8), ME3, PARAMS)
-        diff = new.step_log_factors != t.step_log_factors
-        assert not diff[:5].any() and not diff[6:].any()
-
-    def test_agent_proposal_recomputes_weight(self):
-        t = init_trace(ME3, PARAMS, 10, np.random.default_rng(3))
-        new, _ = propose_site(
-            t, Address(Site.AGENT_POLITICS, 0), np.random.default_rng(9), ME3, PARAMS
-        )
-        fresh = replay(new, ME3, PARAMS)
-        assert new.log_weight == pytest.approx(fresh.log_weight, abs=1e-12)
-
-    def test_incremental_weight_consistency_after_proposal_chain(self):
-        # Random proposal sequence; the incrementally maintained weight must
-        # track a from-scratch replay.
-        env = ME3
-        n_obs = 8
-        t = init_trace(env, PARAMS, n_obs, np.random.default_rng(0))
-        rng = np.random.default_rng(42)
-        addrs = list(addresses(n_obs))
-        for _ in range(300):
-            addr = addrs[int(rng.integers(len(addrs)))]
-            kind = (
-                ProposalKind.PRIOR_RESAMPLE
-                if rng.random() < 0.7
-                else ProposalKind.RANDOM_WALK
-            )
-            t, _ = propose_site(t, addr, rng, env, PARAMS, kind)
-        fresh = replay(t, env, PARAMS)
-        assert t.log_weight == pytest.approx(fresh.log_weight, abs=1e-9)
-        np.testing.assert_allclose(t.step_log_factors, fresh.step_log_factors, atol=1e-9)
-
-    def test_uniform_sites_keep_unit_support(self):
-        env = ME1
-        t = init_trace(env, PARAMS, 5, np.random.default_rng(0))
-        rng = np.random.default_rng(11)
-        addrs = [a for a in addresses(5) if not a.site.is_normal]
-        for _ in range(400):
-            addr = addrs[int(rng.integers(len(addrs)))]
-            t, _ = propose_site(t, addr, rng, env, PARAMS, ProposalKind.RANDOM_WALK)
-        mask = normal_site_mask(5)
-        uniforms = t.values[~mask]
-        assert np.all((uniforms >= 0.0) & (uniforms <= 1.0))
-
-
 class TestMirrorFlip:
+    """The sampler's exact mirror flip is always accepted and applied lazily:
+    it relies on the reflection keeping every step factor bit for bit."""
+
     def test_preserves_every_log_factor_bitwise(self):
         rng = np.random.default_rng(42)
         for env in (ME1, ME3):
-            t = init_trace(env, PARAMS, 30, rng)
-            flipped = mirror_flip(t)
-            fresh = replay(flipped, env, PARAMS)
-            np.testing.assert_array_equal(fresh.step_log_factors, t.step_log_factors)
-            assert fresh.log_weight == replay(t, env, PARAMS).log_weight
+            values = init_trace(30, rng)
+            plain = replay_values(values, 30, env, PARAMS)[2]
+            mirrored = replay_values(mirror(values, 30), 30, env, PARAMS)[2]
+            assert plain.tobytes() == mirrored.tobytes()
 
     def test_negates_agent_politics(self):
-        t = init_trace(ME1, PARAMS, 5, np.random.default_rng(7))
-        flipped = mirror_flip(t)
-        assert flipped.values[0] == -t.values[0]
-        assert flipped.values[1] == t.values[1]
+        values = init_trace(5, np.random.default_rng(7))
+        p_a, a_a = replay_values(values, 5, ME1, PARAMS)[:2]
+        mp_a, ma_a = replay_values(mirror(values, 5), 5, ME1, PARAMS)[:2]
+        assert mp_a == -p_a
+        assert ma_a == a_a
 
     def test_is_an_involution(self):
-        t = init_trace(ME3, PARAMS, 12, np.random.default_rng(13))
-        twice = mirror_flip(mirror_flip(t))
-        np.testing.assert_array_equal(twice.values, t.values)
+        # Prior uniforms are multiples of 2**-53, so 1 - v is exact for them.
+        values = init_trace(12, np.random.default_rng(13))
+        np.testing.assert_array_equal(mirror(mirror(values, 12), 12), values)
 
     def test_flips_judged_politics(self):
-        t = init_trace(ME3, PARAMS, 15, np.random.default_rng(21))
-        plain = replay(t, ME3, PARAMS)
-        mirrored = replay(mirror_flip(t), ME3, PARAMS)
-        for a, b in zip(plain.judgments, mirrored.judgments):
-            assert a.truth_judgment == b.truth_judgment
-            assert a.politics_judgment == -b.politics_judgment
-
-
-class TestDump:
-    def test_one_line_per_address(self):
-        t = init_trace(ME1, PARAMS, 4, np.random.default_rng(0))
-        lines = t.dump_lines()
-        assert len(lines) == address_count(4)
-        site, step, value = lines[0].split(",")
-        assert site == "agent_politics"
-        assert step == "0"
-        assert float(value) == t.values[0]
+        values = init_trace(15, np.random.default_rng(21))
+        _, _, _, accepted, p_judged = replay_values(values, 15, ME3, PARAMS)
+        _, _, _, m_accepted, m_p_judged = replay_values(mirror(values, 15), 15, ME3, PARAMS)
+        np.testing.assert_array_equal(accepted, m_accepted)
+        np.testing.assert_array_equal(p_judged, -m_p_judged)
