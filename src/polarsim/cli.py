@@ -5,14 +5,23 @@ cell can be sampled by MCMC, evaluated by quadrature, or both; `validate`
 additionally compares the two routes by total-variation distance against
 per-count tolerances.
 
-Config precedence is flags over config file over built-in defaults. Flags
-that pin an explicit budget (--chains, --iters, --burn-in) discard the
-per-count budget schedule, so the requested numbers apply to every cell.
+Config precedence is flags over config file over built-in defaults. The
+three are layered as raw JSON (each flag sets its config key) and then
+checked in one pass against one schema, which is read from the fields of
+`ModelParams`, `InferenceConfig`, `OutletSpec` and `ExperimentConfig`: a
+key no field names is rejected, a bool field takes only true or false, an
+int field only an integer, and a float field an integer or a number. Every
+error names its key path and exits 2. Flags that pin an explicit budget
+(--chains, --iters, --burn-in) also clear the per-count budget schedule, so
+the requested numbers apply to every cell. A custom environment's name is
+the stem of its cells' file names, so it must be ASCII letters, digits,
+`_`, `-` and `.`, not starting with `.`.
 
 Cells run in order: quadrature, then the cell's chains, then its artifacts.
 With more than one worker, one process pool serves the whole experiment and
 every cell's chains are queued on it before the first cell starts, so the
-parent's quadrature and writing overlap the sampling of later cells.
+parent's quadrature and writing overlap the sampling of later cells. The
+pool has no more processes than the experiment has chains.
 
 The manifest echoes the experiment configuration but not execution details
 (worker count, output directory), and all wall-clock numbers live under the
@@ -33,11 +42,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from polarsim.inference import (
@@ -48,11 +59,11 @@ from polarsim.inference import (
 )
 from polarsim.model import (
     BUILTIN_ENVIRONMENTS,
-    FAKE_NEWS_PARTISAN,
+    DEFAULT_OUTLETS,
     MediaEnvironment,
     ModelParams,
-    PREMIUM_CENTRIST,
-    PREMIUM_PARTISAN,
+    OutletSpec,
+    builtin_environment,
 )
 from polarsim.oracle import posterior, write_grid_csv
 from polarsim.report import (
@@ -92,50 +103,6 @@ DEFAULT_SCHEDULE: dict[int, dict[str, int]] = {
     100: {"n_chains": 16, "iterations": 3_000_000, "burn_in": 1_000_000, "thin": 150},
 }
 
-_OUTLET_SLOTS = ("premium_centrist", "premium_partisan", "fake_news_partisan")
-_DEFAULT_OUTLETS = (PREMIUM_CENTRIST, PREMIUM_PARTISAN, FAKE_NEWS_PARTISAN)
-_OUTLET_NUMERIC_FIELDS = (
-    "politics_mean_magnitude",
-    "politics_sd",
-    "truth_mean",
-    "truth_sd",
-)
-
-_MODEL_FIELDS = (
-    "discount_scale",
-    "discount_base",
-    "likelihood_sd",
-    "prior_politics_sd",
-    "analytic_low",
-    "analytic_high",
-)
-
-_INFERENCE_FIELDS = (
-    "n_chains",
-    "iterations",
-    "burn_in",
-    "thin",
-    "prior_prob",
-    "walk_scale",
-    "flip_prob",
-    "disable_likelihood",
-)
-
-_SCHEDULE_FIELDS = ("n_chains", "iterations", "burn_in", "thin")
-
-_CONFIG_KEYS = {
-    "mode",
-    "environments",
-    "observation_counts",
-    "seed",
-    "workers",
-    "out_dir",
-    "grid_points",
-    "model",
-    "inference",
-    "inference_by_n",
-}
-
 
 class UsageError(Exception):
     """Bad flags or config values; maps to exit code 2."""
@@ -157,226 +124,205 @@ class ExperimentConfig:
         return replace(self.inference, **self.inference_by_n.get(n_obs, {}))
 
 
-# What a JSON value must be for a dataclass field of each annotated type.
-_FIELD_KINDS = {
+# The JSON a value of each annotated type must be, and what to call it in an
+# error. Calling the type builds the value from the JSON. A bool passes only
+# as a bool, so an int field takes no bool and a float field no bool.
+_KINDS = {
     bool: (bool, "true or false"),
     int: (int, "an integer"),
     float: ((int, float), "a number"),
+    str: (str, "a string"),
+    Path: (str, "a path string"),
+    list: (list, "a list"),
+    dict: (dict, "an object"),
 }
 
 
-def _require(value, kind: "type | tuple[type, ...]", key: str, what: str):
-    """``value`` if it is a ``kind`` (a bool passes only as a bool), else a
-    usage error naming ``key``."""
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise UsageError(f"{key}: need {what}")
-    return value
+def _fields(cls, *kinds: type) -> dict[str, type]:
+    """Name -> annotated type of each field of ``cls`` whose type is one of
+    ``kinds`` (default: any type the schema knows)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if hints[f.name] in (kinds or _KINDS)}
+
+
+# The config schema. The top level takes ExperimentConfig's scalar fields
+# and two inference fields, seed and worker count; the per-count schedule
+# takes the integer budget fields, and an outlet override the emission
+# numbers.
+_LIFTED = {k: _fields(InferenceConfig)[k] for k in ("seed", "workers")}
+_MODEL = _fields(ModelParams)
+_INFERENCE = {k: t for k, t in _fields(InferenceConfig).items() if k not in _LIFTED}
+_SCHEDULE = {k: t for k, t in _INFERENCE.items() if t is int}
+_OUTLET = _fields(OutletSpec, float)
+_SCALARS = _fields(ExperimentConfig)
+_CONFIG = {
+    **_LIFTED,
+    **_SCALARS,
+    "environments": list,
+    "observation_counts": list,
+    "model": dict,
+    "inference": dict,
+    "inference_by_n": dict,
+}
+_ENVIRONMENT = {"name": str, "weights": list, "outlets": dict}
+
+_ENVIRONMENT_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+_COUNT = re.compile(r"0|[1-9][0-9]*")
+
+
+def _value(value, kind: type, section: str, name: str):
+    """``value`` checked and built as a ``kind``; errors name ``section.name``
+    (just ``name`` at the top level, where ``section`` is empty)."""
+    json_type, what = _KINDS[kind]
+    if not isinstance(value, json_type) or (isinstance(value, bool) and kind is not bool):
+        raise UsageError(f"{section}.{name}: need {what}" if section else f"{name}: need {what}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer too large for a float
+        raise UsageError(f"{section}: {name} must be a finite number") from None
+
+
+def _check(raw, schema: dict[str, type], section: str = "") -> dict:
+    """``raw`` as an object whose keys ``schema`` names, each value checked
+    and built as the key's type."""
+    if not isinstance(raw, dict):
+        raise UsageError(f"{section}: need an object")
+    unknown = set(raw) - set(schema)
+    if unknown:
+        raise UsageError(f"{section or 'config'}: unknown keys {sorted(unknown)}")
+    return {name: _value(value, schema[name], section, name) for name, value in raw.items()}
+
+
+def _build(section: str, make, values: dict):
+    """``make(**values)``, with its ValueError a usage error naming ``section``."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise UsageError(f"{section}: {exc}") from exc
 
 
 def _parse_environment(entry: "str | dict") -> MediaEnvironment:
+    """A built-in environment by name, or a custom one from its object."""
     if isinstance(entry, str):
-        if entry not in BUILTIN_ENVIRONMENTS:
-            known = ", ".join(sorted(BUILTIN_ENVIRONMENTS))
-            raise UsageError(
-                f"environments: unknown environment {entry!r} (known: {known})"
-            )
-        return BUILTIN_ENVIRONMENTS[entry]
-    if not isinstance(entry, dict):
-        raise UsageError("environments: entries must be names or objects")
-    unknown = set(entry) - {"name", "weights", "outlets"}
-    if unknown:
-        raise UsageError(f"environments: unknown keys {sorted(unknown)}")
-    if "name" not in entry or "weights" not in entry:
-        raise UsageError("environments: custom entries need 'name' and 'weights'")
-    outlets = list(_DEFAULT_OUTLETS)
-    slots = _require(entry.get("outlets", {}), dict, "environments.outlets", "an object")
-    for slot, overrides in slots.items():
-        if slot not in _OUTLET_SLOTS:
-            raise UsageError(f"environments.outlets: unknown outlet {slot!r}")
-        _require(overrides, dict, f"environments.outlets.{slot}", "an object")
-        bad = set(overrides) - set(_OUTLET_NUMERIC_FIELDS)
-        if bad:
-            raise UsageError(f"environments.outlets.{slot}: unknown keys {sorted(bad)}")
-        index = _OUTLET_SLOTS.index(slot)
         try:
-            outlets[index] = replace(
-                outlets[index], **{k: float(v) for k, v in overrides.items()}
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise UsageError(f"environments.outlets.{slot}: {exc}") from exc
-    try:
-        return MediaEnvironment(
-            str(entry["name"]),
-            tuple(float(w) for w in entry["weights"]),
-            tuple(outlets),
+            return builtin_environment(entry)
+        except KeyError as exc:
+            raise UsageError(f"environments: {exc.args[0]}") from None
+    raw = _check(entry, _ENVIRONMENT, "environments")
+    if "name" not in raw or "weights" not in raw:
+        raise UsageError("environments: custom entries need 'name' and 'weights'")
+    name = raw["name"]
+    if not _ENVIRONMENT_NAME.fullmatch(name):
+        raise UsageError(
+            f"environments: bad name {name!r} (use letters, digits, '_', '-' "
+            "and '.', not starting with '.')"
         )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"environments[{entry.get('name')}]: {exc}") from exc
+    outlets = {spec.kind.value: spec for spec in DEFAULT_OUTLETS}
+    for slot, overrides in raw.get("outlets", {}).items():
+        if slot not in outlets:
+            raise UsageError(f"environments.outlets: unknown outlet {slot!r}")
+        section = f"environments.outlets.{slot}"
+        outlets[slot] = _build(
+            section, partial(replace, outlets[slot]), _check(overrides, _OUTLET, section)
+        )
+    section = f"environments[{name}]"
+    weights = tuple(_value(w, float, section, "weights") for w in raw["weights"])
+    return _build(
+        section,
+        MediaEnvironment,
+        {"name": name, "weights": weights, "outlets": tuple(outlets.values())},
+    )
 
 
-def _build_section(name: str, cls, defaults, raw: dict, allowed: tuple):
-    _require(raw, dict, name, "an object")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise UsageError(f"{name}: unknown keys {sorted(unknown)}")
-    types = typing.get_type_hints(cls)
-    for key, value in raw.items():
-        kind, what = _FIELD_KINDS[types[key]]
-        _require(value, kind, f"{name}.{key}", what)
+def _read_config(path: Path) -> dict:
     try:
-        return replace(defaults, **raw) if defaults is not None else cls(**raw)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{name}: {exc}") from exc
+        data = json.loads(path.read_text())
+    except OSError as exc:
+        raise UsageError(f"config: cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError("config: top level must be a JSON object")
+    return data
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Resolve defaults, then the config file, then flags, and validate."""
-    data: dict = {}
+    """Layer defaults, the config file and flags as raw config, then check
+    and build it in one pass."""
+    data: dict = {
+        "environments": sorted(BUILTIN_ENVIRONMENTS),
+        "observation_counts": list(DEFAULT_OBSERVATION_COUNTS),
+        "inference_by_n": {str(n): budget for n, budget in DEFAULT_SCHEDULE.items()},
+    }
     if args.config is not None:
-        try:
-            data = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise UsageError(f"config: cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config: not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise UsageError("config: top level must be a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
-        if unknown:
-            raise UsageError(f"config: unknown keys {sorted(unknown)}")
+        data.update(_read_config(args.config))
+    flags = {
+        "seed": args.seed,
+        "workers": args.workers,
+        "grid_points": args.grid_points,
+        "observation_counts": args.observations,
+        "out_dir": None if args.out is None else str(args.out),
+        "mode": args.command if args.command in MODES else None,
+    }
+    data.update({key: value for key, value in flags.items() if value is not None})
+    budget = {"n_chains": args.chains, "iterations": args.iters, "burn_in": args.burn_in}
+    budget = {key: value for key, value in budget.items() if value is not None}
+    if budget:
+        data["inference"] = {**_value(data.get("inference", {}), dict, "", "inference"), **budget}
+        data["inference_by_n"] = {}
 
-    environments = tuple(
-        _parse_environment(e)
-        for e in _require(
-            data.get("environments", sorted(BUILTIN_ENVIRONMENTS)),
-            list,
-            "environments",
-            "a list of names or objects",
-        )
-    )
-    params = _build_section(
-        "model", ModelParams, ModelParams(), data.get("model", {}), _MODEL_FIELDS
-    )
-    inference = _build_section(
+    raw = _check(data, _CONFIG)
+    params = _build("model", ModelParams, _check(raw.get("model", {}), _MODEL, "model"))
+    inference = _build(
         "inference",
         InferenceConfig,
-        InferenceConfig(),
-        data.get("inference", {}),
-        _INFERENCE_FIELDS,
+        {
+            **_check(raw.get("inference", {}), _INFERENCE, "inference"),
+            **{key: raw[key] for key in _LIFTED if key in raw},
+        },
     )
-
-    inference_by_n: dict[int, dict[str, int]] = {
-        n: dict(overrides) for n, overrides in DEFAULT_SCHEDULE.items()
-    }
-    if "inference_by_n" in data:
-        inference_by_n = {}
-        by_n = _require(data["inference_by_n"], dict, "inference_by_n", "an object")
-        for key, overrides in by_n.items():
-            try:
-                count = int(key)
-            except ValueError as exc:
-                raise UsageError(f"inference_by_n: bad count {key!r}") from exc
-            _require(overrides, dict, f"inference_by_n.{key}", "an object")
-            unknown = set(overrides) - set(_SCHEDULE_FIELDS)
-            if unknown:
-                raise UsageError(f"inference_by_n.{key}: unknown keys {sorted(unknown)}")
-            inference_by_n[count] = {
-                k: _require(v, int, f"inference_by_n.{key}.{k}", "an integer")
-                for k, v in overrides.items()
-            }
-
-    observation_counts = data.get("observation_counts", list(DEFAULT_OBSERVATION_COUNTS))
-    mode = data.get("mode", "both")
-    grid_points = data.get("grid_points", 801)
-    out_dir = Path(_require(data.get("out_dir", "out"), str, "out_dir", "a path string"))
-    seed = data.get("seed")
-    workers = data.get("workers")
-
+    inference_by_n = {}
+    for key, overrides in raw["inference_by_n"].items():
+        if not _COUNT.fullmatch(key):
+            raise UsageError(f"inference_by_n: bad count {key!r}")
+        inference_by_n[int(key)] = _check(overrides, _SCHEDULE, f"inference_by_n.{key}")
+    environments = tuple(_parse_environment(e) for e in raw["environments"])
     if args.envs:
         by_name = {env.name: env for env in environments}
-        selected = []
-        for name in args.envs:
-            if name not in by_name:
-                env = _parse_environment(name)
-                by_name[env.name] = env
-            selected.append(by_name[name])
-        environments = tuple(selected)
-    if args.observations is not None:
-        observation_counts = args.observations
-    if args.seed is not None:
-        seed = args.seed
-    if args.workers is not None:
-        workers = args.workers
-    if args.grid_points is not None:
-        grid_points = args.grid_points
-    if args.out is not None:
-        out_dir = Path(args.out)
-
-    budget_flags = {}
-    if args.chains is not None:
-        budget_flags["n_chains"] = args.chains
-    if args.iters is not None:
-        budget_flags["iterations"] = args.iters
-    if args.burn_in is not None:
-        budget_flags["burn_in"] = args.burn_in
-    if budget_flags:
-        inference_by_n = {}
-
-    overrides = dict(budget_flags)
-    if seed is not None:
-        overrides["seed"] = _require(seed, int, "seed", "an integer")
-    if workers is not None:
-        overrides["workers"] = _require(workers, int, "workers", "an integer")
-    if overrides:
-        try:
-            inference = replace(inference, **overrides)
-        except ValueError as exc:
-            raise UsageError(f"inference: {exc}") from exc
-
-    if args.command in ("mcmc", "oracle", "validate"):
-        mode = args.command
-    if mode not in MODES:
-        raise UsageError(f"mode: must be one of {', '.join(MODES)}")
-
-    what = "a list of non-negative integers"
-    observation_counts = tuple(
-        _require(n, int, "observation_counts", what)
-        for n in _require(observation_counts, list, "observation_counts", what)
+        environments = tuple(
+            by_name[name] if name in by_name else _parse_environment(name)
+            for name in args.envs
+        )
+    counts = tuple(_value(n, int, "", "observation_counts") for n in raw["observation_counts"])
+    config = ExperimentConfig(
+        environments=environments,
+        observation_counts=counts,
+        params=params,
+        inference=inference,
+        inference_by_n=inference_by_n,
+        **{key: raw[key] for key in _SCALARS if key in raw},
     )
-    if not observation_counts or any(n < 0 for n in observation_counts):
-        raise UsageError(f"observation_counts: need {what}")
-    if len(set(observation_counts)) != len(observation_counts):
+
+    if config.mode not in MODES:
+        raise UsageError(f"mode: must be one of {', '.join(MODES)}")
+    if not counts or min(counts) < 0:
+        raise UsageError("observation_counts: need a list of non-negative integers")
+    if len(set(counts)) != len(counts):
         raise UsageError("observation_counts: duplicate counts")
     if not environments:
         raise UsageError("environments: need at least one environment")
     names = [env.name for env in environments]
     if len(set(names)) != len(names):
         raise UsageError("environments: duplicate names")
-    if mode == "validate":
-        missing = [n for n in observation_counts if n not in TV_TOLERANCES]
+    if config.mode == "validate":
+        missing = [n for n in counts if n not in TV_TOLERANCES]
         if missing:
-            raise UsageError(
-                f"observation_counts: no validation tolerance for {missing}"
-            )
-    if not isinstance(grid_points, int) or grid_points < 3:
+            raise UsageError(f"observation_counts: no validation tolerance for {missing}")
+    if config.grid_points < 3:
         raise UsageError("grid_points: need an integer >= 3")
-
     # Per-count overrides must themselves form valid budgets.
-    config = ExperimentConfig(
-        environments=environments,
-        observation_counts=observation_counts,
-        params=params,
-        inference=inference,
-        inference_by_n=inference_by_n,
-        grid_points=grid_points,
-        out_dir=out_dir,
-        mode=mode,
-    )
-    for n in observation_counts:
-        try:
-            config.cell_inference(n)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"inference_by_n.{n}: {exc}") from exc
+    for n in counts:
+        _build(f"inference_by_n.{n}", config.cell_inference, {"n_obs": n})
     return config
 
 
@@ -385,27 +331,23 @@ def config_to_json(config: ExperimentConfig, include_execution: bool = True) -> 
     manifest stays byte-identical across worker counts and output dirs."""
     environments: list = []
     for env in config.environments:
-        builtin = BUILTIN_ENVIRONMENTS.get(env.name)
-        if builtin == env:
+        if BUILTIN_ENVIRONMENTS.get(env.name) == env:
             environments.append(env.name)
         else:
+            outlets = {
+                spec.kind.value: {f: getattr(spec, f) for f in _OUTLET}
+                for spec in env.outlets
+            }
             environments.append(
-                {
-                    "name": env.name,
-                    "weights": list(env.weights),
-                    "outlets": {
-                        slot: {f: getattr(spec, f) for f in _OUTLET_NUMERIC_FIELDS}
-                        for slot, spec in zip(_OUTLET_SLOTS, env.outlets)
-                    },
-                }
+                {"name": env.name, "weights": list(env.weights), "outlets": outlets}
             )
     data = {
         "mode": config.mode,
         "environments": environments,
         "observation_counts": list(config.observation_counts),
         "seed": config.inference.seed,
-        "model": {f: getattr(config.params, f) for f in _MODEL_FIELDS},
-        "inference": {f: getattr(config.inference, f) for f in _INFERENCE_FIELDS},
+        "model": {f: getattr(config.params, f) for f in _MODEL},
+        "inference": {f: getattr(config.inference, f) for f in _INFERENCE},
         "inference_by_n": {
             str(n): dict(overrides)
             for n, overrides in sorted(config.inference_by_n.items())
@@ -456,11 +398,14 @@ def run_experiment(config: ExperimentConfig) -> int:
     queued: dict[str, typing.Iterator] = {}
     try:
         if want_mcmc and config.inference.workers > 1:
-            pool = ProcessPoolExecutor(max_workers=config.inference.workers)
-            for n_obs in config.observation_counts:
+            budgets = {n: config.cell_inference(n) for n in config.observation_counts}
+            n_chains = len(config.environments) * sum(b.n_chains for b in budgets.values())
+            # A fork-started pool starts every worker at the first submit.
+            pool = ProcessPoolExecutor(max_workers=min(config.inference.workers, n_chains))
+            for n_obs, budget in budgets.items():
                 for env in config.environments:
                     queued[f"{env.name}_{n_obs}"] = queue_chains(
-                        pool, env, config.params, n_obs, config.cell_inference(n_obs)
+                        pool, env, config.params, n_obs, budget
                     )
         for row, n_obs in enumerate(config.observation_counts):
             for col, env in enumerate(config.environments):

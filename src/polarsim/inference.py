@@ -598,17 +598,18 @@ def sample_posterior(
     """All chains of one experiment cell, serial or in a process pool.
 
     ``chains`` takes the cell's results from ``queue_chains`` on a pool the
-    caller owns. Without it the chains run here, or on a pool of
-    ``config.workers`` processes opened for this cell alone. The result is
-    identical for every ``workers`` value: chain i depends only on
-    ``(config.seed, i)`` and samples are concatenated in chain order.
+    caller owns. Without it the chains run here, or on a pool opened for
+    this cell alone, with ``config.workers`` processes but no more than the
+    cell has chains. The result is identical for every ``workers`` value:
+    chain i depends only on ``(config.seed, i)`` and samples are
+    concatenated in chain order.
     """
     if chains is not None:
         results = list(chains)
     elif config.workers == 1:
         results = [run_chain(env, params, n_obs, config, i) for i in range(config.n_chains)]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, config.n_chains)) as pool:
             results = list(queue_chains(pool, env, params, n_obs, config))
 
     return SampleSet(

@@ -29,6 +29,7 @@ __all__ = [
     "PREMIUM_CENTRIST",
     "PREMIUM_PARTISAN",
     "FAKE_NEWS_PARTISAN",
+    "DEFAULT_OUTLETS",
     "BUILTIN_ENVIRONMENTS",
     "builtin_environment",
     "motivational_discount",
@@ -98,7 +99,7 @@ PREMIUM_CENTRIST = OutletSpec(OutletKind.PREMIUM_CENTRIST, 0.0, 0.5, 0.8, 0.2, b
 PREMIUM_PARTISAN = OutletSpec(OutletKind.PREMIUM_PARTISAN, 0.7, 0.3, 0.8, 0.2, bimodal=True)
 FAKE_NEWS_PARTISAN = OutletSpec(OutletKind.FAKE_NEWS_PARTISAN, 0.9, 0.1, 0.4, 0.5, bimodal=True)
 
-_DEFAULT_OUTLETS = (PREMIUM_CENTRIST, PREMIUM_PARTISAN, FAKE_NEWS_PARTISAN)
+DEFAULT_OUTLETS = (PREMIUM_CENTRIST, PREMIUM_PARTISAN, FAKE_NEWS_PARTISAN)
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ class MediaEnvironment:
 
     name: str
     weights: tuple[float, float, float]
-    outlets: tuple[OutletSpec, OutletSpec, OutletSpec] = _DEFAULT_OUTLETS
+    outlets: tuple[OutletSpec, OutletSpec, OutletSpec] = DEFAULT_OUTLETS
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.outlets):

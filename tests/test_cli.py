@@ -1,15 +1,23 @@
 """Tests for config resolution, the experiment runner, and exit codes."""
 
+import contextlib
+import copy
+import io
 import json
 import multiprocessing
+import tempfile
 import typing
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polarsim import cli
+from polarsim import cli, inference
 from polarsim.inference import InferenceConfig
-from polarsim.model import ModelParams, OutletSpec
+from polarsim.model import BUILTIN_ENVIRONMENTS, MediaEnvironment, ModelParams, OutletSpec
 
 
 def run_cli(*argv):
@@ -207,6 +215,29 @@ class TestExitCodes:
                 "environments.outlets.premium_centrist",
             ),
             ({"model": {"likelihood_sd": 10**400}}, "model"),
+            *(
+                (
+                    {
+                        "environments": [
+                            {"name": "x", "weights": [0.4, 0.5, 0.1], "outlets": {"fake_news_partisan": {key: bad}}}
+                        ]
+                    },
+                    f"environments.outlets.fake_news_partisan.{key}",
+                )
+                for key, bad in (("truth_sd", "0.3"), ("politics_sd", True))
+            ),
+            *(
+                ({"environments": [{"name": "x", "weights": weights}]}, "environments[x].weights")
+                for weights in (["0.4", 0.5, 0.1], [0.4, 0.5, 0.1, True])
+            ),
+            *(
+                ({"inference_by_n": schedule}, "inference_by_n")
+                for schedule in (
+                    {"1": {"n_chains": 4}, "01": {"n_chains": 8}},
+                    {"-5": {"n_chains": 4}},
+                    {" 1": {"n_chains": 4}},
+                )
+            ),
         ],
     )
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, data, key):
@@ -242,6 +273,29 @@ class TestExitCodes:
         assert prefix.get(section, section) in err
         assert ("weights" if section == "weights" else field) in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "name", [5, None, "", "a/b", "../esc/evil", ".hidden", "a b", "x\\y", "caf\u00e9"]
+    )
+    def test_environment_name_must_be_a_safe_file_stem(self, tmp_path, capsys, name):
+        run = tmp_path / "run"
+        run.mkdir()
+        path = run / "config.json"
+        path.write_text(json.dumps({"environments": [{"name": name, "weights": [0.4, 0.5, 0.1]}]}))
+        code = run_cli(
+            "oracle", "--config", str(path), "--grid-points", "21",
+            "--observations", "1", "--out", str(run / "o"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: environments")
+        assert sorted(tmp_path.rglob("*")) == [run, path]
+
+    def test_safe_environment_names_load(self, tmp_path):
+        names = ["a.b-c_1", "_", "9", "-x"]
+        data = {"environments": [{"name": n, "weights": [0.4, 0.5, 0.1]} for n in names]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert [env.name for env in load(path).environments] == names
 
     def test_validation_tolerance_needs_known_counts(self, tmp_path, capsys):
         code = run_cli("validate", "--observations", "7", "--out", str(tmp_path / "o"))
@@ -285,6 +339,31 @@ class TestExitCodes:
         assert (out / "ME1_1_samples.csv").is_file()
         assert "runtime failure" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("route", ["run_experiment", "sample_posterior"])
+    def test_pool_has_no_more_workers_than_chains(self, tmp_path, monkeypatch, route):
+        sizes = []
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(inference, "ProcessPoolExecutor", recording_pool)
+        if route == "run_experiment":
+            code = run_cli(
+                "mcmc", "--env", "ME1", "--observations", "1", "--chains", "2",
+                "--iters", "50", "--burn-in", "10", "--workers", "8",
+                "--out", str(tmp_path / "o"),
+            )
+            assert code == 0
+        else:
+            config = InferenceConfig(n_chains=2, iterations=50, burn_in=10, workers=8)
+            run = inference.sample_posterior(BUILTIN_ENVIRONMENTS["ME1"], ModelParams(), 1, config)
+            assert run.politics.size == 2 * 40
+        assert sizes == [2]
 
 
 class TestMcmcMode:
@@ -490,3 +569,170 @@ class TestPrintConfig:
         assert config["model"]["analytic_high"] == 2
         assert config["inference"]["flip_prob"] == 0
         assert config["inference"]["disable_likelihood"] is True
+
+
+# The README's config file example, which the fuzz test mutates.
+README_EXAMPLE = {
+    "mode": "both",
+    "environments": [
+        "ME1",
+        {
+            "name": "harsh",
+            "weights": [0.2, 0.2, 0.6],
+            "outlets": {"fake_news_partisan": {"truth_sd": 0.3}},
+        },
+    ],
+    "observation_counts": [1, 10, 100],
+    "seed": 0,
+    "workers": 1,
+    "out_dir": "out",
+    "grid_points": 801,
+    "model": {"likelihood_sd": 0.25},
+    "inference": {"n_chains": 256, "iterations": 1000, "burn_in": 100},
+    "inference_by_n": {"1": {"n_chains": 256, "iterations": 3100, "thin": 3}},
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+# Keys a mutation may add: every key some section accepts, near misses of
+# counts and names, and arbitrary text.
+mutation_keys = (
+    st.sampled_from(
+        sorted(
+            {*README_EXAMPLE, *typing.get_type_hints(ModelParams)}
+            | {*typing.get_type_hints(InferenceConfig), *typing.get_type_hints(OutletSpec)}
+            | {"name", "weights", "outlets", "premium_centrist", "premium_partisan"}
+            | {"fake_news_partisan", "0", "1", "01", "-5", " 1", "ME2"}
+        )
+    )
+    | st.text(max_size=6)
+)
+
+
+@st.composite
+def near_valid_configs(draw):
+    """The README example with one to three values replaced, deleted or added."""
+    config = copy.deepcopy(README_EXAMPLE)
+    for _ in range(draw(st.integers(1, 3))):
+        parent = config
+        while True:
+            keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = parent[key]
+            if not (isinstance(child, (dict, list)) and child and draw(st.booleans())):
+                break
+            parent = child
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "add" or not keys:
+            if isinstance(parent, dict):
+                parent[draw(mutation_keys)] = draw(json_values)
+            else:
+                parent.append(draw(json_values))
+        elif action == "delete":
+            del parent[key]
+        else:
+            parent[key] = draw(json_values)
+    return config
+
+
+def print_config(path):
+    """Exit code, stdout and stderr of ``print-config --config path``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["print-config", "--config", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def load(path):
+    return cli.load_config(cli.build_parser().parse_args(["print-config", "--config", str(path)]))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(near_valid_configs(), json_values))
+    def test_print_config_exits_0_or_2_and_round_trips(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(data))
+            code, out, err = print_config(path)
+            assert code in (0, 2), err
+            if code == 2:
+                assert err.startswith("error: ")
+                return
+            echo = Path(tmp) / "echo.json"
+            echo.write_text(out)
+            assert load(echo) == load(path)
+
+
+# The keys each section accepts, pinned: the schema is read from the
+# dataclasses, so a new field must not widen a section unnoticed.
+ACCEPTED_KEYS = {
+    "config": {
+        "mode", "environments", "observation_counts", "seed", "workers",
+        "out_dir", "grid_points", "model", "inference", "inference_by_n",
+    },
+    "model": {
+        "discount_scale", "discount_base", "likelihood_sd",
+        "prior_politics_sd", "analytic_low", "analytic_high",
+    },
+    "inference": {
+        "n_chains", "iterations", "burn_in", "thin", "prior_prob",
+        "walk_scale", "flip_prob", "disable_likelihood",
+    },
+    "inference_by_n.1": {"n_chains", "iterations", "burn_in", "thin"},
+    "environment": {"name", "weights", "outlets"},
+    "outlet": {"politics_mean_magnitude", "politics_sd", "truth_mean", "truth_sd"},
+}
+
+# Keys a section might wrongly accept: every field of the config dataclasses.
+CANDIDATE_KEYS = set().union(
+    *ACCEPTED_KEYS.values(),
+    *(
+        {f.name for f in fields(cls)}
+        for cls in (cli.ExperimentConfig, ModelParams, InferenceConfig, MediaEnvironment, OutletSpec)
+    ),
+)
+
+
+def sections(data):
+    """Each section's object in a printed config with one custom environment."""
+    env = data["environments"][0]
+    return {
+        "config": data,
+        "model": data["model"],
+        "inference": data["inference"],
+        "inference_by_n.1": data["inference_by_n"]["1"],
+        "environment": env,
+        "outlet": env["outlets"]["premium_centrist"],
+    }
+
+
+class TestSchema:
+    @pytest.fixture
+    def printed(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"environments": [{"name": "x", "weights": [0.4, 0.5, 0.1]}]}))
+        return cli.config_to_json(load(path))
+
+    def test_every_pinned_key_is_printed_and_loads(self, tmp_path, printed):
+        assert {name: set(obj) for name, obj in sections(printed).items()} == ACCEPTED_KEYS
+        path = tmp_path / "printed.json"
+        path.write_text(json.dumps(printed))
+        assert cli.config_to_json(load(path)) == printed
+
+    @pytest.mark.parametrize("section", sorted(ACCEPTED_KEYS))
+    def test_no_other_field_is_accepted(self, tmp_path, printed, section):
+        path = tmp_path / "config.json"
+        for key in sorted(CANDIDATE_KEYS - ACCEPTED_KEYS[section]):
+            data = copy.deepcopy(printed)
+            sections(data)[section][key] = 1
+            path.write_text(json.dumps(data))
+            with pytest.raises(cli.UsageError, match=f": unknown keys \\['{key}'\\]"):
+                load(path)
