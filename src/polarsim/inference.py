@@ -1,16 +1,19 @@
-"""Single-site Metropolis-Hastings over flat trace values.
+"""Metropolis-Hastings over flat trace values, with two kernels chosen by N.
 
-Each iteration either proposes a new value at one uniformly chosen site
-(prior resample or reflected random walk) or applies a whole-trace mirror
-flip that exchanges the two politics modes exactly. Every iteration takes
-one value from each of six proposal streams, whichever branch runs, and
-each stream is fixed by the chain's seed: a chain's trajectory is a pure
-function of its seed. The streams are served a block of iterations at a
-time, so a chain's memory does not grow with its length. An agent-site
-proposal rescores every step: over plain floats below
-``SCALAR_AGENT_STEPS`` observations, summing the factors in NumPy's
-pairwise order, and in NumPy from there up, so the log weight is the same
-bit for bit on either side.
+Below ``SCAN_STEPS`` observations, each iteration either proposes a new
+value at one uniformly chosen site (prior resample or reflected random
+walk) or applies a whole-trace mirror flip that exchanges the two politics
+modes exactly. Every iteration takes one value from each of six proposal
+streams, whichever branch runs, served a block of iterations at a time. An
+agent-site proposal rescores every step over plain floats, summing the
+factors in NumPy's pairwise order.
+
+From ``SCAN_STEPS`` observations up, a systematic scan proposes at every
+site in turn: the two agent sites one at a time, then each step column at
+all N steps in one NumPy pass, and a mirror flip after each full scan.
+
+Either way a chain's trajectory is a pure function of its seed, and its
+memory does not grow with its length.
 
 Chain seeds are derived from the experiment seed with a splitmix64 mix, and
 samples are concatenated in chain order, so results are identical whether
@@ -31,12 +34,16 @@ import numpy as np
 
 from polarsim.model import MediaEnvironment, ModelParams, _require_finite
 from polarsim.trace import (
+    _COL_SIDE,
+    _COL_ZPOL,
     _env_arrays,
     address_count,
     init_trace,
+    judge_steps,
     normal_site_mask,
     pipeline_from_values,
     reflect_unit,
+    reflect_units,
 )
 
 __all__ = [
@@ -60,13 +67,15 @@ STREAM_BLOCK = 8192
 # The double below 0.5; with 0.5 itself, the only v with fl(1 - v) == 0.5.
 _BELOW_HALF = 0.49999999999999994
 
-# Agent-site proposals over fewer observations than this rescore every step
-# in a loop over plain floats; from here up, one NumPy pass is faster.
-# Measured per proposal, scalar against NumPy: 4.6 against 18.2 us at
-# N = 10, 25.8 against 31.8 us at N = 64, even at N = 72 to 80, and 39.2
-# against 34.1 us at N = 100. At most 128, the length `_pairwise_sum`
-# reproduces.
-SCALAR_AGENT_STEPS = 72
+# Chains over this many observations and more run the systematic scan;
+# below it, the single-site kernel. Measured on ME2 per iteration,
+# single-site against scan: 2.24 against 4.61 us at N = 16, 2.85 against
+# 3.51 at N = 24, 3.13 against 1.33 at N = 48 and 2.68 against 0.94 at
+# N = 100. The crossover lies between 24 and 48; the threshold stays at 72
+# so that every chain below it keeps its trajectory bit for bit. At most
+# 129: the single-site kernel sums agent-site factors with `_pairwise_sum`,
+# which reproduces NumPy's sum up to 128 terms.
+SCAN_STEPS = 72
 
 
 def derive_chain_seed(seed: int, chain_index: int) -> int:
@@ -87,9 +96,11 @@ class InferenceConfig:
 
     ``prior_prob`` is the chance a site proposal resamples from the unit
     prior instead of random-walking; ``flip_prob`` is the chance an
-    iteration applies the mirror flip instead of a site proposal (0 recovers
-    the plain single-site kernel). ``disable_likelihood`` zeroes every step
-    factor so chains target the prior exactly.
+    iteration of the single-site kernel applies the mirror flip instead of a
+    site proposal (0 recovers the plain single-site kernel; the systematic
+    scan flips after a full scan with the matching odd-count chance).
+    ``disable_likelihood`` zeroes every step factor so chains target the
+    prior exactly.
     """
 
     n_chains: int = 256
@@ -134,8 +145,9 @@ class ChainResult:
     """Kept draws of one chain plus its final state for auditing.
 
     ``samples`` has one row per kept iteration with columns (agent politics,
-    agent analytic). ``n_proposals`` counts site proposals only; mirror
-    flips are tallied separately because they are always accepted.
+    agent analytic). ``n_proposals`` counts site proposals and
+    ``n_accepted`` the accepted ones; ``n_flips`` counts mirror flips, which
+    are not proposals.
     """
 
     samples: np.ndarray
@@ -182,27 +194,59 @@ def run_chain(
 ) -> ChainResult:
     """One chain over a fresh prior-drawn value array (``init_trace``).
 
-    The chain start is scored by one ``pipeline_from_values`` pass. State
-    is kept as plain floats with per-step caches (judged politics and the
-    news contest draw of every step), so a step-site proposal recomputes
-    one step and an agent-site proposal recomputes all steps: in a scalar
-    loop below ``SCALAR_AGENT_STEPS`` steps, in NumPy from there up. The
-    scalar loop sums the step factors in NumPy's pairwise order
-    (``_pairwise_sum``), so the log weight is bitwise the same either way.
+    The chain start is scored by one ``pipeline_from_values`` pass. Below
+    ``SCAN_STEPS`` observations the chain runs the random-scan single-site
+    kernel (``_site_chain``); from there up, the systematic scan
+    (``_scan_chain``). Both keep memory at O(block + n_obs + kept samples),
+    not O(iterations). The incremental log weight is cross-checked against a
+    full replay in the test suite.
+    """
+    chain_seed = derive_chain_seed(config.seed, chain_index)
+    rng = np.random.default_rng(chain_seed)
+    values = init_trace(n_obs, rng)
+    start = pipeline_from_values(values, n_obs, env, params)
+    kernel = _scan_chain if n_obs >= SCAN_STEPS else _site_chain
+    samples, n_props, n_acc, n_flips, final_values, log_weight = kernel(
+        values, start, rng, env, params, n_obs, config
+    )
+    return ChainResult(
+        samples=samples,
+        n_proposals=n_props,
+        n_accepted=n_acc,
+        n_flips=n_flips,
+        final_values=final_values,
+        final_log_weight=log_weight,
+        chain_seed=chain_seed,
+    )
+
+
+def _site_chain(
+    values: np.ndarray,
+    start: tuple,
+    rng: np.random.Generator,
+    env: MediaEnvironment,
+    params: ModelParams,
+    n_obs: int,
+    config: InferenceConfig,
+) -> tuple:
+    """The random-scan single-site kernel, for fewer than ``SCAN_STEPS`` steps.
+
+    Each iteration proposes at one uniformly chosen site or applies a mirror
+    flip. State is kept as plain floats with per-step caches (judged
+    politics and the news contest draw of every step), so a step-site
+    proposal recomputes one step and an agent-site proposal recomputes all
+    steps in a loop, summing the step factors in NumPy's pairwise order
+    (``_pairwise_sum``) so the log weight is bitwise the one NumPy's sum
+    gives.
 
     The six proposal streams come from ``_stream_blocks``, a block of
     iterations at a time, and each block's site, prior flag, prior value and
     walk step are computed in NumPy before the loop runs over them. An
     exact mirror flip negates only the agent's politics; each step applies
     the flips it owes when it is next read, so a flip costs O(1), not
-    O(n_obs). Memory is O(block + n_obs + kept samples), not O(iterations).
-    The incremental log weight is cross-checked against a full replay in the
-    test suite.
+    O(n_obs). Returns ``(samples, proposals, accepted, flips, final values,
+    final log weight)``.
     """
-    chain_seed = derive_chain_seed(config.seed, chain_index)
-    rng = np.random.default_rng(chain_seed)
-    values = init_trace(n_obs, rng)
-
     like_on = not config.disable_likelihood
     n_addr = address_count(n_obs)
     normal_mask = normal_site_mask(n_obs)
@@ -225,7 +269,7 @@ def run_chain(
     a_span = params.analytic_high - params.analytic_low
 
     vals = values.tolist()
-    p_agent, a_agent, pipe = pipeline_from_values(values, n_obs, env, params)
+    p_agent, a_agent, pipe = start
     p_news = pipe.p_news.tolist()
     x_news = pipe.x_news.tolist()
     if like_on:
@@ -375,7 +419,7 @@ def run_chain(
                     else:
                         pa_new = p_agent
                         aa_new = a_low + a_span * new
-                    if like_on and 0 < n_obs < SCALAR_AGENT_STEPS:
+                    if like_on and n_obs:
                         # The bound may differ from NumPy's vectorized power
                         # in the last bit, but it only enters a comparison.
                         lf = []
@@ -387,15 +431,6 @@ def run_chain(
                             zz = (p_j - pa_new) * inv_sd
                             lf.append(f_const - 0.5 * zz * zz)
                         new_lw = _pairwise_sum(lf)
-                    elif like_on and n_obs:
-                        pn = np.array(p_news)
-                        b_a_vec = aa_new - ds * db ** np.abs(pn - pa_new)
-                        np.maximum(b_a_vec, 0.0, out=b_a_vec)
-                        won = np.array(x_news) > np.array(vals[7::6]) * b_a_vec
-                        p_j_vec = np.where(won, pn, -pn)
-                        zz_vec = (p_j_vec - pa_new) * inv_sd
-                        lf = f_const - 0.5 * zz_vec * zz_vec
-                        new_lw = float(lf.sum())
                     else:
                         lf = None
                         new_lw = 0.0
@@ -406,7 +441,7 @@ def run_chain(
                         a_agent = aa_new
                         log_weight = new_lw
                         if lf is not None:
-                            logf = lf if n_obs < SCALAR_AGENT_STEPS else lf.tolist()
+                            logf = lf
                     else:
                         vals[j] = old
 
@@ -415,15 +450,166 @@ def run_chain(
                 next_keep += thin
 
     _settle(vals, p_news, seen, n_lazy, range(n_obs))
-    return ChainResult(
-        samples=np.array(kept),
-        n_proposals=n_props,
-        n_accepted=n_acc,
-        n_flips=n_flips,
-        final_values=np.array(vals),
-        final_log_weight=log_weight,
-        chain_seed=chain_seed,
-    )
+    return np.array(kept), n_props, n_acc, n_flips, np.array(vals), log_weight
+
+
+def _scan_chain(
+    values: np.ndarray,
+    start: tuple,
+    rng: np.random.Generator,
+    env: MediaEnvironment,
+    params: ModelParams,
+    n_obs: int,
+    config: InferenceConfig,
+) -> tuple:
+    """The systematic-scan kernel, for ``SCAN_STEPS`` steps and more.
+
+    One scan proposes at every site once, as 6N + 2 iterations: agent
+    politics, agent analytic (each rescoring all N steps), then each of the
+    six step columns in layout order. Given the agent the steps are
+    conditionally independent, so one ``judge_steps`` pass scores a column's
+    proposal at every step and each step is accepted on its own. A site
+    proposal is a prior resample with probability ``prior_prob``, else a
+    walk of ``walk_scale`` (reflected into [0, 1] at a uniform site, with the
+    Gaussian prior correction at a normal one). The last scan stops
+    mid-column when the iterations run out; a kept sample is the agent state
+    after its iteration.
+
+    After each full scan a mirror flip is applied with the probability that
+    the single-site kernel flips an odd number of times over as many
+    iterations, (1 - (1 - 2 flip_prob)^(6N + 2)) / 2. It preserves every
+    step factor unless a side coin is exactly 0.5; then the flipped state is
+    scored and accepted by MH. ``flips`` counts the flips made.
+
+    Each scan draws from ``rng``, in this order and one per iteration where
+    not said: uniforms for the prior-or-walk coins, then for the uniform
+    prior values, then for the accept draws; 2 uniforms for the flip coin
+    and its accept draw; standard normals for the normal prior values and
+    walk steps. State is a
+    (6, N) value block and the N step log factors; the log weight is their
+    sum. Returns ``(samples, proposals, accepted, flips, final values,
+    final log weight)``.
+    """
+    like_on = not config.disable_likelihood
+    env_arrays = _env_arrays(env)
+    length = address_count(n_obs)
+    block = values[2:].reshape(n_obs, 6).T.copy()
+    normal_steps = normal_site_mask(n_obs)[2:].reshape(n_obs, 6).T.ravel()
+    z_agent = float(values[0])
+    u_agent = float(values[1])
+    p_agent, a_agent, pipe = start
+    logf = pipe.log_factors if like_on else np.zeros(n_obs)
+
+    p_scale = params.prior_politics_sd
+    a_low = params.analytic_low
+    a_span = params.analytic_high - params.analytic_low
+    prior_p = config.prior_prob
+    w_scale = config.walk_scale
+    flip_q = 0.5 * (1.0 - (1.0 - 2.0 * config.flip_prob) ** length)
+    iterations = config.iterations
+    burn = config.burn_in
+    thin = config.thin
+    exp = math.exp
+
+    def kept_before(i: int) -> int:
+        return max(0, i - burn) // thin
+
+    def score(cols, p_a: float, a_a: float) -> np.ndarray:
+        return judge_steps(cols, p_a, a_a, env_arrays, params).log_factors
+
+    samples = np.empty((config.kept_per_chain, 2))
+    n_kept = 0
+    n_acc = 0
+    n_flips = 0
+    for first in range(0, iterations, length):
+        todo = min(length, iterations - first)
+        mix, fresh, u_acc = rng.random((3, length))
+        u_flip, u_flip_acc = rng.random(2)
+        z = rng.standard_normal(length)
+        prior = mix < prior_p
+        step = w_scale * z
+
+        for site in (0, 1):
+            if site >= todo:
+                break
+            if site == 0:
+                old = z_agent
+                new = z[0] if prior[0] else old + step[0]
+                corr = 0.0 if prior[0] else 0.5 * (old * old - new * new)
+                pa_new, aa_new = p_scale * new, a_agent
+            else:
+                old = u_agent
+                new = fresh[1] if prior[1] else reflect_unit(old + step[1])
+                corr = 0.0
+                pa_new, aa_new = p_agent, a_low + a_span * new
+            if like_on:
+                lf = score(block, pa_new, aa_new)
+                d = (float(lf.sum()) - float(logf.sum())) + corr
+            else:
+                lf = logf
+                d = corr
+            if d >= 0.0 or u_acc[site] < exp(d):
+                n_acc += 1
+                if site == 0:
+                    z_agent = new
+                else:
+                    u_agent = new
+                p_agent, a_agent, logf = pa_new, aa_new, lf
+            # The agent state holds through the step columns that follow.
+            upto = first + todo if site else first + 1
+            count = kept_before(upto) - kept_before(first + site)
+            samples[n_kept : n_kept + count] = (p_agent, a_agent)
+            n_kept += count
+
+        # A column's proposal reads only its own values, which hold until its
+        # pass, so all six are made up front; block order is scan order.
+        olds = block.ravel()
+        walk = olds + step[2:]
+        fresh_steps = np.where(normal_steps, z[2:], fresh[2:])
+        walked = np.where(normal_steps, walk, reflect_units(walk))
+        proposals = np.where(prior[2:], fresh_steps, walked).reshape(6, n_obs)
+        corrs = np.where(
+            normal_steps & ~prior[2:], 0.5 * (olds * olds - walk * walk), 0.0
+        ).reshape(6, n_obs)
+        for col in range(6):
+            lo = 2 + col * n_obs
+            if lo >= todo:
+                break
+            new = proposals[col]
+            if like_on:
+                rows = list(block)
+                rows[col] = new
+                lf = score(rows, p_agent, a_agent)
+                d = (lf - logf) + corrs[col]
+            else:
+                d = corrs[col]
+            accept = u_acc[lo : lo + n_obs] < np.exp(np.minimum(d, 0.0))
+            if todo - lo < n_obs:
+                accept[todo - lo :] = False
+            n_acc += int(np.count_nonzero(accept))
+            block[col] = np.where(accept, new, block[col])
+            if like_on:
+                logf = np.where(accept, lf, logf)
+
+        if todo == length and u_flip < flip_q:
+            n_flips += 1
+            flipped = block.copy()
+            flipped[_COL_SIDE] = 1.0 - flipped[_COL_SIDE]
+            flipped[_COL_ZPOL] = -flipped[_COL_ZPOL]
+            if not np.any(block[_COL_SIDE] == 0.5):
+                # Exact mirror image: every step factor is preserved bitwise.
+                block, z_agent, p_agent = flipped, -z_agent, -p_agent
+            else:
+                lf = score(flipped, -p_agent, a_agent) if like_on else logf
+                d = float(lf.sum()) - float(logf.sum())
+                if d >= 0.0 or u_flip_acc < exp(d):
+                    block, z_agent, p_agent, logf = flipped, -z_agent, -p_agent, lf
+
+    final = np.empty(length)
+    final[0] = z_agent
+    final[1] = u_agent
+    final[2:].reshape(n_obs, 6)[:] = block.T
+    return samples, iterations, n_acc, n_flips, final, float(logf.sum())
 
 
 def _stream_blocks(rng: np.random.Generator, iterations: int):

@@ -11,9 +11,11 @@ index 1 the agent analytic coordinate, then six sites per observation step
 in the order (outlet choice, side coin, politics innovation, truth
 innovation, news contest draw, agent contest draw).
 
-``pipeline_from_values`` is the single place the judgment math is
-vectorized; the scalar route goes through the :mod:`polarsim.model`
-functions and the two are cross-checked in the test suite.
+``judge_steps`` is the single place the judgment math is vectorized: it
+scores value columns for a given agent, and ``pipeline_from_values`` and
+the sampler's systematic scan both call it. The scalar route goes through
+the :mod:`polarsim.model` functions and the two are cross-checked in the
+test suite.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ __all__ = [
     "address_count",
     "normal_site_mask",
     "init_trace",
+    "judge_steps",
     "pipeline_from_values",
     "replay_values",
     "reflect_unit",
+    "reflect_units",
 ]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -83,6 +87,36 @@ class StepPipeline(NamedTuple):
     log_factors: np.ndarray
 
 
+def judge_steps(
+    cols, agent_politics: float, agent_analytic: float, env_arrays: tuple, params: ModelParams
+) -> StepPipeline:
+    """The judgment pipeline of every step at once.
+
+    ``cols`` holds the six value columns in layout order, one entry per step
+    in each (a (6, N) array or a sequence of six arrays); ``env_arrays`` is
+    ``_env_arrays(env)``. Every output is computed elementwise, so a step's
+    entries depend only on its own column entries and the agent.
+    """
+    cums, mag, p_sd, t_mean, t_sd = env_arrays
+    outlet = np.minimum(cums.searchsorted(cols[_COL_OUTLET], side="right"), len(cums) - 1)
+    side_sign = np.where(cols[_COL_SIDE] < 0.5, 1.0, -1.0)
+    p_news = side_sign * mag[outlet] + p_sd[outlet] * cols[_COL_ZPOL]
+    t_news = t_mean[outlet] + t_sd[outlet] * cols[_COL_ZTRUTH]
+
+    b_news = np.maximum(0.0, t_news)
+    discount = params.discount_scale * params.discount_base ** np.abs(p_news - agent_politics)
+    b_agent = np.maximum(0.0, agent_analytic - discount)
+    x_news = cols[_COL_XN] * b_news
+    x_agent = cols[_COL_XA] * b_agent
+
+    accepted = x_news > x_agent
+    p_judged = np.where(accepted, p_news, -p_news)
+
+    z = (p_judged - agent_politics) / params.likelihood_sd
+    factors = -0.5 * z * z - math.log(params.likelihood_sd) - _HALF_LOG_2PI
+    return StepPipeline(p_news, x_news, accepted, p_judged, factors)
+
+
 def pipeline_from_values(
     values: np.ndarray, n_observations: int, env: MediaEnvironment, params: ModelParams
 ) -> tuple[float, float, StepPipeline]:
@@ -92,27 +126,8 @@ def pipeline_from_values(
     agent_analytic = (
         params.analytic_low + (params.analytic_high - params.analytic_low) * float(values[1])
     )
-    cols = values[2:].reshape(n_observations, 6)
-    cums, mag, p_sd, t_mean, t_sd = _env_arrays(env)
-    outlet = np.minimum(
-        np.searchsorted(cums, cols[:, _COL_OUTLET], side="right"), len(cums) - 1
-    )
-    side_sign = np.where(cols[:, _COL_SIDE] < 0.5, 1.0, -1.0)
-    p_news = side_sign * mag[outlet] + p_sd[outlet] * cols[:, _COL_ZPOL]
-    t_news = t_mean[outlet] + t_sd[outlet] * cols[:, _COL_ZTRUTH]
-
-    b_news = np.maximum(0.0, t_news)
-    discount = params.discount_scale * params.discount_base ** np.abs(p_news - agent_politics)
-    b_agent = np.maximum(0.0, agent_analytic - discount)
-    x_news = cols[:, _COL_XN] * b_news
-    x_agent = cols[:, _COL_XA] * b_agent
-
-    accepted = x_news > x_agent
-    p_judged = np.where(accepted, p_news, -p_news)
-
-    z = (p_judged - agent_politics) / params.likelihood_sd
-    factors = -0.5 * z * z - math.log(params.likelihood_sd) - _HALF_LOG_2PI
-    pipe = StepPipeline(p_news, x_news, accepted, p_judged, factors)
+    cols = values[2:].reshape(n_observations, 6).T
+    pipe = judge_steps(cols, agent_politics, agent_analytic, _env_arrays(env), params)
     return agent_politics, agent_analytic, pipe
 
 
@@ -149,3 +164,10 @@ def reflect_unit(u: float) -> float:
     if u < 0.0:
         u += 2.0
     return 2.0 - u if u > 1.0 else u
+
+
+def reflect_units(u: np.ndarray) -> np.ndarray:
+    """``reflect_unit`` of every entry of an array, with the same roundings."""
+    u = np.fmod(u, 2.0)
+    u = np.where(u < 0.0, u + 2.0, u)
+    return np.where(u > 1.0, 2.0 - u, u)

@@ -57,8 +57,11 @@ def test_run_chain_calls_init_and_pipeline_once_through_module_globals(monkeypat
     config = inference.InferenceConfig(
         n_chains=1, iterations=500, burn_in=100, seed=4, flip_prob=0.0
     )
-    inference.run_chain(ME2, PARAMS, 10, config, 0)
-    assert calls == {"init_trace": 1, "pipeline_from_values": 1}
+    # One count per kernel: the single-site one and the systematic scan.
+    for n_obs in (10, inference.SCAN_STEPS):
+        calls.update(dict.fromkeys(calls, 0))
+        inference.run_chain(ME2, PARAMS, n_obs, config, 0)
+        assert calls == {"init_trace": 1, "pipeline_from_values": 1}
 
 
 def test_oracle_imports_nothing_from_the_sampler():

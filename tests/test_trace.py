@@ -22,6 +22,7 @@ from polarsim.trace import (
     init_trace,
     normal_site_mask,
     reflect_unit,
+    reflect_units,
     replay_values,
 )
 
@@ -182,6 +183,11 @@ class TestReflectUnit:
     @given(st.floats(0, 1, allow_nan=False))
     def test_identity_on_unit_interval(self, u):
         assert reflect_unit(u) == u
+
+    @given(st.lists(st.floats(-50, 50, allow_nan=False), max_size=40))
+    def test_array_form_matches_bit_for_bit(self, xs):
+        folded = reflect_units(np.array(xs, dtype=float))
+        assert folded.tobytes() == np.array([reflect_unit(x) for x in xs], dtype=float).tobytes()
 
 
 class TestMirrorFlip:
