@@ -1,7 +1,8 @@
 """polarsim: simulate and infer opinion polarization under mixed media diets.
 
-The package splits into the generative model (`model`), the flat layout of
-every random choice with its vectorized judgment pipeline (`trace`),
+The package splits into the model's configuration (`model`: outlets,
+environments and judgment constants), the flat layout of every random
+choice with the vectorized judgment pipeline that scores it (`trace`),
 parallel Metropolis-Hastings over those traces (`inference`), a quadrature
 posterior used as ground truth (`oracle`), histogram/metrics/figure
 reporting (`report`), and a command line front end (`cli`).
@@ -16,11 +17,9 @@ from polarsim.inference import (
     sample_posterior,
 )
 from polarsim.model import (
-    AgentParams,
     BUILTIN_ENVIRONMENTS,
     MediaEnvironment,
     ModelParams,
-    NewsItem,
     OutletKind,
     OutletSpec,
     builtin_environment,
@@ -37,14 +36,12 @@ from polarsim.report import (
 )
 
 __all__ = [
-    "AgentParams",
     "BUILTIN_ENVIRONMENTS",
     "ChainResult",
     "Histogram",
     "InferenceConfig",
     "MediaEnvironment",
     "ModelParams",
-    "NewsItem",
     "OutletKind",
     "OutletSpec",
     "PolarizationMetrics",

@@ -36,6 +36,7 @@ from polarsim.model import MediaEnvironment, ModelParams, _require_finite
 from polarsim.trace import (
     _COL_SIDE,
     _COL_ZPOL,
+    _HALF_LOG_2PI,
     _env_arrays,
     address_count,
     init_trace,
@@ -56,8 +57,6 @@ __all__ = [
     "sample_posterior",
     "write_samples_csv",
 ]
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _MASK64 = (1 << 64) - 1
 

@@ -1,4 +1,4 @@
-"""Generative model of news consumption and judgment.
+"""Configuration of the generative model of news consumption and judgment.
 
 An agent with a fixed political leaning and analytic disposition consumes
 news items drawn from a mixture of outlets. For every item the agent runs a
@@ -7,9 +7,10 @@ scrutiny, discounted when the item flatters the agent's politics. The
 politics the agent takes away from the item (accepted at face value or
 flipped) is scored against the agent's own leaning by a Gaussian likelihood.
 
-Everything in this module is scalar and pure. The sampler scores traces with
-the one vectorized pipeline in :mod:`polarsim.trace`, and the tests hold it
-to these functions.
+This module holds only the model's configuration: outlet emission profiles,
+media environments and the judgment constants. The judgment itself is
+stated by :func:`polarsim.trace.judge_steps`, which scores the sampler's
+traces, and by the quadrature integrand in :mod:`polarsim.oracle`.
 """
 
 from __future__ import annotations
@@ -21,29 +22,15 @@ from enum import Enum
 __all__ = [
     "OutletKind",
     "OutletSpec",
-    "NewsItem",
     "MediaEnvironment",
-    "AgentParams",
     "ModelParams",
-    "Judgment",
     "PREMIUM_CENTRIST",
     "PREMIUM_PARTISAN",
     "FAKE_NEWS_PARTISAN",
     "DEFAULT_OUTLETS",
     "BUILTIN_ENVIRONMENTS",
     "builtin_environment",
-    "motivational_discount",
-    "truth_bounds",
-    "truth_probability",
-    "judge",
-    "log_likelihood",
-    "normal_log_pdf",
-    "sample_outlet",
-    "emit_news",
-    "agent_from_units",
 ]
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -67,6 +54,17 @@ class OutletKind(Enum):
     FAKE_NEWS_PARTISAN = "fake_news_partisan"
 
 
+# The smallest outlet sd, relative to its mean (or 1 if that is larger). The
+# quadrature integrates each emission over its mean +- 6 sd; far narrower
+# spans lose their nodes to rounding, and the oracle then returns a wrong
+# weight with no error. On ME2 at agent (0.7, 0.75), the premium partisan's
+# expected weight at sd 1e-9 is within 5e-9 of its small-sd limit; it is off
+# by 2e-7 (truth_sd) and 4e-6 (politics_sd) at 1e-12, by 9e-5 and 8e-4 at
+# 1e-15, and by 0.08 and 1.5 at 1e-17. With a politics mean of 50 the errors
+# of 3e-6 and 2e-3 come at sd 5e-11 and 5e-14, so the floor scales with it.
+MIN_RELATIVE_SD = 1e-9
+
+
 @dataclass(frozen=True)
 class OutletSpec:
     """Emission profile of one outlet.
@@ -87,8 +85,12 @@ class OutletSpec:
         _require_finite(
             self, "politics_mean_magnitude", "politics_sd", "truth_mean", "truth_sd"
         )
-        if self.politics_sd <= 0 or self.truth_sd <= 0:
-            raise ValueError("outlet emission sds must be positive")
+        for sd, mean in (("politics_sd", "politics_mean_magnitude"), ("truth_sd", "truth_mean")):
+            floor = MIN_RELATIVE_SD * max(1.0, abs(getattr(self, mean)))
+            if getattr(self, sd) < floor:
+                raise ValueError(
+                    f"{sd} must be >= {MIN_RELATIVE_SD:g} * max(1, |{mean}|) = {floor:.3g}"
+                )
         if self.politics_mean_magnitude < 0:
             raise ValueError("politics_mean_magnitude must be >= 0")
         if self.bimodal != (self.kind is not OutletKind.PREMIUM_CENTRIST):
@@ -100,14 +102,6 @@ PREMIUM_PARTISAN = OutletSpec(OutletKind.PREMIUM_PARTISAN, 0.7, 0.3, 0.8, 0.2, b
 FAKE_NEWS_PARTISAN = OutletSpec(OutletKind.FAKE_NEWS_PARTISAN, 0.9, 0.1, 0.4, 0.5, bimodal=True)
 
 DEFAULT_OUTLETS = (PREMIUM_CENTRIST, PREMIUM_PARTISAN, FAKE_NEWS_PARTISAN)
-
-
-@dataclass(frozen=True)
-class NewsItem:
-    """One emitted article: signed politics and (possibly negative) truth."""
-
-    politics: float
-    truth: float
 
 
 @dataclass(frozen=True)
@@ -153,14 +147,6 @@ def builtin_environment(name: str) -> MediaEnvironment:
 
 
 @dataclass(frozen=True)
-class AgentParams:
-    """Latent agent state: signed leaning and analytic disposition."""
-
-    politics: float
-    analytic: float
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """All tunable constants of the judgment model.
 
@@ -194,92 +180,3 @@ class ModelParams:
             raise ValueError("sds must be positive")
         if not self.analytic_low < self.analytic_high:
             raise ValueError("analytic bounds must satisfy low < high")
-
-
-@dataclass(frozen=True)
-class Judgment:
-    """Outcome of the truth contest for one item."""
-
-    truth_judgment: bool
-    politics_judgment: float
-
-
-def motivational_discount(news_politics: float, agent_politics: float, params: ModelParams) -> float:
-    """Scrutiny discount for agreeable news; maximal when leanings coincide."""
-    return params.discount_scale * params.discount_base ** abs(news_politics - agent_politics)
-
-
-def truth_bounds(news: NewsItem, agent: AgentParams, params: ModelParams) -> tuple[float, float]:
-    """Upper bounds of the two uniform draws in the truth contest.
-
-    The news side is the item's truth clamped at zero; the agent side is the
-    analytic disposition minus the motivated-reasoning discount, also clamped.
-    """
-    b_news = max(0.0, news.truth)
-    discount = motivational_discount(news.politics, agent.politics, params)
-    b_agent = max(0.0, agent.analytic - discount)
-    return b_news, b_agent
-
-
-def truth_probability(b_news: float, b_agent: float) -> float:
-    """P(X > Y) for X ~ U(0, b_news), Y ~ U(0, b_agent), zero bound = point mass at 0.
-
-    Ties resolve to "not true", so a zero news bound always loses.
-    """
-    if b_news < 0 or b_agent < 0:
-        raise ValueError("truth bounds must be non-negative")
-    if b_news == 0.0:
-        return 0.0
-    if b_agent == 0.0:
-        return 1.0
-    if b_news >= b_agent:
-        return 1.0 - b_agent / (2.0 * b_news)
-    return b_news / (2.0 * b_agent)
-
-
-def judge(news: NewsItem, x_news: float, x_agent: float) -> Judgment:
-    """Resolve the truth contest: accept politics as-is if the news draw wins,
-    otherwise flip its sign. A tie counts as a loss for the news."""
-    accepted = x_news > x_agent
-    politics = news.politics if accepted else -news.politics
-    return Judgment(accepted, politics)
-
-
-def normal_log_pdf(x: float, mean: float, sd: float) -> float:
-    z = (x - mean) / sd
-    return -0.5 * z * z - math.log(sd) - _HALF_LOG_2PI
-
-
-def log_likelihood(politics_judgment: float, agent_politics: float, params: ModelParams) -> float:
-    """Log score of one judged item against the agent's own leaning."""
-    return normal_log_pdf(politics_judgment, agent_politics, params.likelihood_sd)
-
-
-def sample_outlet(env: MediaEnvironment, u: float) -> int:
-    """Inverse-CDF outlet pick from one uniform draw; u >= 1 maps to the last outlet."""
-    for i, cum in enumerate(env.cumulative_weights()):
-        if u < cum:
-            return i
-    return len(env.weights) - 1
-
-
-def emit_news(outlet: OutletSpec, side: bool, z_politics: float, z_truth: float) -> NewsItem:
-    """Materialize one item from unit-normal innovations.
-
-    ``side`` picks the positive (True) or negative mode of a bimodal outlet
-    and is ignored for unimodal ones.
-    """
-    if outlet.bimodal:
-        mean = outlet.politics_mean_magnitude if side else -outlet.politics_mean_magnitude
-    else:
-        mean = 0.0
-    politics = mean + outlet.politics_sd * z_politics
-    truth = outlet.truth_mean + outlet.truth_sd * z_truth
-    return NewsItem(politics, truth)
-
-
-def agent_from_units(z_politics: float, u_analytic: float, params: ModelParams) -> AgentParams:
-    """Map unit draws (standard normal, uniform [0,1]) to agent parameters."""
-    politics = params.prior_politics_sd * z_politics
-    analytic = params.analytic_low + (params.analytic_high - params.analytic_low) * u_analytic
-    return AgentParams(politics, analytic)

@@ -398,8 +398,9 @@ def posterior(
     grid, log_a_weights, log_w_matrix, truth_axis = _weight_table(
         env, params, grid_points, grid_halfwidth, politics_nodes, truth_nodes, analytic_nodes
     )
-    # Integrate the analytic disposition out in log space; the per-item
-    # weight is strictly positive, so the log is finite.
+    # Integrate the analytic disposition out in log space. The per-item
+    # weight can underflow to 0 far out in its tails; the NaN density that
+    # follows is caught below.
     log_integrand = log_a_weights + n_obs * log_w_matrix
     row_max = log_integrand.max(axis=1)
     log_marginal = (
@@ -416,6 +417,12 @@ def posterior(
     unnorm = np.exp(log_raw - shift)
     norm = float(np.trapezoid(unnorm, grid))
     log_density = log_raw - shift - math.log(norm)
+    if not np.isfinite(np.exp(log_density)).all():
+        raise ValueError(
+            "quadrature density is not finite: the per-item weight underflows to 0 "
+            f"on the grid, as it does when model.likelihood_sd ({params.likelihood_sd!r}) "
+            f"is too small for the {politics_nodes}-node politics rule"
+        )
 
     # Outside the grid the per-item weight keeps falling, so the boundary
     # marginal times the prior tail bounds the unseen mass.

@@ -11,11 +11,12 @@ index 1 the agent analytic coordinate, then six sites per observation step
 in the order (outlet choice, side coin, politics innovation, truth
 innovation, news contest draw, agent contest draw).
 
-``judge_steps`` is the single place the judgment math is vectorized: it
-scores value columns for a given agent, and ``pipeline_from_values`` and
-the sampler's systematic scan both call it. The scalar route goes through
-the :mod:`polarsim.model` functions and the two are cross-checked in the
-test suite.
+``judge_steps`` states the judgment math once, vectorized: it scores value
+columns for a given agent, and ``pipeline_from_values`` and the sampler's
+systematic scan both call it. (The sampler's single-site kernel inlines the
+same arithmetic over plain floats.) The independent statement the tests
+hold it to is ``benchmarks/refmodel.py``, which imports nothing from this
+package.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Criteria, in test order:
   1. Sampler vs quadrature TV per cell (0.03 / 0.05 / 0.10 for 1/10/100
      observations) with at least 2e5 kept samples.
   2. Prior recovery with likelihood factors disabled (KS < 0.01 at 1e5).
-  3. Closed-form win probability vs Monte Carlo on a 10x10 bounds grid.
+  3. The quadrature's expected win probability vs a Monte Carlo of the
+     truth contest, for 10 agent bounds x 3 truth profiles.
   4. Quadrature expected weight vs forward simulation at spot points.
   5. Qualitative shape of the nine-cell figure, computed on the quadrature
      densities.
@@ -31,7 +32,7 @@ import pytest
 from scipy import stats
 
 from polarsim import cli, inference, oracle, report, trace
-from polarsim.model import ME1, ME2, ME3, ModelParams, truth_probability
+from polarsim.model import FAKE_NEWS_PARTISAN, ME1, ME2, ME3, PREMIUM_CENTRIST, ModelParams
 from simulated_weight import simulated_weight_mean
 
 PARAMS = ModelParams()
@@ -126,24 +127,33 @@ def test_criterion_2_prior_recovery():
 
 
 def test_criterion_3_truth_probability_monte_carlo():
+    # The oracle's rule integrates truth over mean +- 6 sd; the mass it
+    # leaves out (about 2e-9) is far below one standard error here.
     rng = np.random.default_rng(3)
-    levels = [i / 10 for i in range(10)]
+    levels = np.arange(10) / 10
+    profiles = [
+        (PREMIUM_CENTRIST.truth_mean, PREMIUM_CENTRIST.truth_sd),
+        (FAKE_NEWS_PARTISAN.truth_mean, FAKE_NEWS_PARTISAN.truth_sd),
+        (FAKE_NEWS_PARTISAN.truth_mean, 0.3),  # the fake news outlet of the "harsh" mix
+    ]
     draws = 10**6
     worst = 0.0
-    for b_news in levels:
-        for b_agent in levels:
-            expected = truth_probability(b_news, b_agent)
-            x_news = rng.random(draws) * b_news
+    for truth_mean, truth_sd in profiles:
+        expected = oracle._expected_win_probability(levels, truth_mean, truth_sd, 64)[0]
+        for b_agent, p_win in zip(levels, expected):
+            truth = rng.normal(truth_mean, truth_sd, draws)
+            x_news = rng.random(draws) * np.maximum(truth, 0.0)
             x_agent = rng.random(draws) * b_agent
-            estimate = float(np.mean(x_news > x_agent))
+            estimate = float(np.mean(x_news > x_agent))  # a tie loses
             se = math.sqrt(estimate * (1.0 - estimate) / draws)
-            diff = abs(estimate - expected)
-            if se == 0.0:
-                assert estimate == expected
-            else:
-                worst = max(worst, diff / se)
-                assert diff <= 3.0 * se
-    announce("3 truth probability", True, f"grid=10x10 worst_z={worst:.2f} bound=3")
+            diff = abs(estimate - p_win)
+            worst = max(worst, diff / se)
+            assert diff <= 3.0 * se, (truth_mean, truth_sd, b_agent)
+    announce(
+        "3 truth probability",
+        True,
+        f"bounds=10 truth_profiles={len(profiles)} worst_z={worst:.2f} bound=3",
+    )
 
 
 SPOT_POINTS = (

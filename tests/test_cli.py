@@ -238,6 +238,19 @@ class TestExitCodes:
                     {" 1": {"n_chains": 4}},
                 )
             ),
+            *(
+                # Below the relative sd floor; at truth_sd 1e-17 the
+                # quadrature's win probability read 3.11.
+                (
+                    {
+                        "environments": [
+                            {"name": "x", "weights": [0.4, 0.5, 0.1], "outlets": {"premium_partisan": {key: 1e-17}}}
+                        ]
+                    },
+                    "environments.outlets.premium_partisan",
+                )
+                for key in ("truth_sd", "politics_sd")
+            ),
         ],
     )
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, data, key):
@@ -452,6 +465,29 @@ class TestMcmcMode:
 
 
 class TestOracleMode:
+    @pytest.mark.parametrize("likelihood_sd", [0.02, 0.01, 1e-4])
+    def test_likelihood_sd_too_small_for_the_quadrature_fails_the_cell(
+        self, tmp_path, capsys, likelihood_sd
+    ):
+        # The per-item weight underflows to 0 on tail rows, which made every
+        # density NaN; the cell must fail instead of writing them.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": {"likelihood_sd": likelihood_sd}}))
+        out = tmp_path / "o"
+        code = run_cli(
+            "oracle", "--config", str(path), "--env", "ME2", "--observations", "1",
+            "--grid-points", "21", "--out", str(out),
+        )
+        assert code == 3
+        assert "model.likelihood_sd" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads(
+            (out / "manifest.json").read_text(), parse_constant=pytest.fail
+        )
+        assert manifest["complete"] is False
+        assert manifest["cells"] == {}
+        assert "model.likelihood_sd" in manifest["error"]
+
     def test_writes_grid_and_metrics(self, tmp_path):
         out = tmp_path / "o"
         code = run_cli(

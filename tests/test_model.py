@@ -1,255 +1,26 @@
-"""Unit tests for the generative model: frozen examples, Monte Carlo
-oracles, and algebraic properties of the scalar pipeline."""
+"""Unit tests for the model's configuration types: built-in outlets and
+environments, their validation, and the package's exported names."""
 
 from __future__ import annotations
 
-import math
+import importlib
+from dataclasses import replace
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
+import polarsim
 from polarsim.model import (
     BUILTIN_ENVIRONMENTS,
     FAKE_NEWS_PARTISAN,
+    MIN_RELATIVE_SD,
     PREMIUM_CENTRIST,
     PREMIUM_PARTISAN,
-    AgentParams,
     MediaEnvironment,
     ModelParams,
-    NewsItem,
     OutletKind,
     OutletSpec,
-    agent_from_units,
     builtin_environment,
-    emit_news,
-    judge,
-    log_likelihood,
-    motivational_discount,
-    normal_log_pdf,
-    sample_outlet,
-    truth_bounds,
-    truth_probability,
 )
-
-PARAMS = ModelParams()
-
-bounded_floats = st.floats(
-    min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-
-
-def norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-class TestMotivationalDiscount:
-    def test_agreement_gives_full_discount(self):
-        assert motivational_discount(0.3, 0.3, PARAMS) == pytest.approx(0.2)
-
-    def test_unit_distance(self):
-        # 0.2 * 0.2 ** 1
-        assert motivational_discount(1.0, 0.0, PARAMS) == pytest.approx(0.04)
-
-    def test_symmetric_in_distance(self):
-        rng = np.random.default_rng(42)
-        for p_news, p_agent in rng.normal(size=(50, 2)):
-            d1 = motivational_discount(p_news, p_agent, PARAMS)
-            d2 = motivational_discount(p_agent, p_news, PARAMS)
-            assert d1 == pytest.approx(d2, rel=1e-15)
-
-    def test_range(self):
-        rng = np.random.default_rng(7)
-        for p_news, p_agent in 3 * rng.normal(size=(200, 2)):
-            d = motivational_discount(p_news, p_agent, PARAMS)
-            assert 0.0 < d <= 0.2
-
-
-class TestTruthProbability:
-    def test_zero_news_bound_always_loses(self):
-        assert truth_probability(0.0, 0.5) == 0.0
-        assert truth_probability(0.0, 0.0) == 0.0
-
-    def test_zero_agent_bound_always_wins(self):
-        assert truth_probability(0.8, 0.0) == 1.0
-
-    def test_hand_integrated_values(self):
-        # P(U(0,1) > U(0,0.5)) = 1 - 0.5/2 = 0.75, and the swapped case.
-        assert truth_probability(1.0, 0.5) == pytest.approx(0.75)
-        assert truth_probability(0.5, 1.0) == pytest.approx(0.25)
-        assert truth_probability(0.7, 0.7) == pytest.approx(0.5)
-
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            truth_probability(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            truth_probability(0.5, -1e-9)
-
-    def test_monte_carlo_oracle(self):
-        # Independent route: simulate the uniform contest directly.
-        rng = np.random.default_rng(42)
-        n = 10**6
-        for b_news, b_agent in [(1.0, 0.5), (0.3, 0.9), (0.8, 0.8), (2.0, 0.1)]:
-            x = rng.random(n) * b_news
-            y = rng.random(n) * b_agent
-            est = np.mean(x > y)
-            se = math.sqrt(est * (1.0 - est) / n)
-            assert abs(truth_probability(b_news, b_agent) - est) < 3.0 * se + 1e-12
-
-    @given(bounded_floats, bounded_floats)
-    def test_complement_under_swap(self, b_news, b_agent):
-        p = truth_probability(b_news, b_agent)
-        q = truth_probability(b_agent, b_news)
-        assert p + q == pytest.approx(1.0, abs=1e-12)
-
-    @given(bounded_floats, bounded_floats, bounded_floats)
-    def test_monotone_in_news_bound(self, b_small, b_large, b_agent):
-        lo, hi = sorted((b_small, b_large))
-        assert truth_probability(lo, b_agent) <= truth_probability(hi, b_agent) + 1e-12
-
-    @given(bounded_floats, bounded_floats)
-    def test_in_unit_interval(self, b_news, b_agent):
-        assert 0.0 <= truth_probability(b_news, b_agent) <= 1.0
-
-
-class TestTruthBounds:
-    def test_reference_point(self):
-        news = NewsItem(politics=0.0, truth=0.8)
-        agent = AgentParams(politics=0.0, analytic=0.5)
-        b_news, b_agent = truth_bounds(news, agent, PARAMS)
-        assert b_news == pytest.approx(0.8)
-        assert b_agent == pytest.approx(0.3)
-
-    def test_negative_truth_clamps_to_zero(self):
-        news = NewsItem(politics=0.2, truth=-0.4)
-        agent = AgentParams(politics=0.0, analytic=0.9)
-        b_news, _ = truth_bounds(news, agent, PARAMS)
-        assert b_news == 0.0
-
-    def test_agent_bound_clamps_to_zero(self):
-        news = NewsItem(politics=0.0, truth=0.5)
-        agent = AgentParams(politics=0.0, analytic=0.1)
-        _, b_agent = truth_bounds(news, agent, PARAMS)
-        assert b_agent == 0.0
-
-
-class TestJudge:
-    def test_accepted_keeps_politics(self):
-        j = judge(NewsItem(-0.9, 0.4), x_news=0.3, x_agent=0.1)
-        assert j.truth_judgment is True
-        assert j.politics_judgment == pytest.approx(-0.9)
-
-    def test_rejected_flips_politics(self):
-        j = judge(NewsItem(-0.9, 0.4), x_news=0.1, x_agent=0.3)
-        assert j.truth_judgment is False
-        assert j.politics_judgment == pytest.approx(0.9)
-
-    def test_tie_counts_as_rejection(self):
-        j = judge(NewsItem(0.7, 0.0), x_news=0.0, x_agent=0.0)
-        assert j.truth_judgment is False
-        assert j.politics_judgment == pytest.approx(-0.7)
-
-    @given(
-        st.floats(-3, 3, allow_nan=False),
-        st.floats(0, 2, allow_nan=False),
-        st.floats(0, 2, allow_nan=False),
-    )
-    def test_mirror_antisymmetry(self, politics, x_news, x_agent):
-        j = judge(NewsItem(politics, 0.5), x_news, x_agent)
-        m = judge(NewsItem(-politics, 0.5), x_news, x_agent)
-        assert j.truth_judgment == m.truth_judgment
-        assert j.politics_judgment == pytest.approx(-m.politics_judgment, abs=1e-15)
-
-
-class TestLogLikelihood:
-    def test_mode_height(self):
-        # log N(0; 0, 0.25) = -log(0.25 * sqrt(2 pi))
-        expected = -math.log(0.25 * math.sqrt(2.0 * math.pi))
-        assert expected == pytest.approx(0.4673558279, abs=1e-9)
-        assert log_likelihood(0.0, 0.0, PARAMS) == pytest.approx(expected)
-
-    def test_one_sigma_drop(self):
-        at_mode = log_likelihood(0.5, 0.5, PARAMS)
-        off = log_likelihood(0.75, 0.5, PARAMS)
-        assert at_mode - off == pytest.approx(0.5)
-
-    def test_quadratic_tail(self):
-        at_mode = log_likelihood(0.0, 0.0, PARAMS)
-        assert log_likelihood(1.0, 0.0, PARAMS) == pytest.approx(at_mode - 8.0)
-
-    def test_matches_normal_log_pdf(self):
-        rng = np.random.default_rng(3)
-        for x, mu in rng.normal(size=(20, 2)):
-            assert log_likelihood(x, mu, PARAMS) == normal_log_pdf(x, mu, 0.25)
-
-
-class TestSampleOutlet:
-    def test_inverse_cdf_boundaries(self):
-        env = BUILTIN_ENVIRONMENTS["ME1"]
-        assert sample_outlet(env, 0.0) == 0
-        assert sample_outlet(env, 0.6999) == 0
-        assert sample_outlet(env, 0.70) == 1
-        assert sample_outlet(env, 0.8999) == 1
-        assert sample_outlet(env, 0.90) == 2
-        assert sample_outlet(env, 0.9999) == 2
-        # Defensive: u at or above the final cumulative maps to the last outlet.
-        assert sample_outlet(env, 1.0) == 2
-
-    def test_frequencies_match_weights(self):
-        env = BUILTIN_ENVIRONMENTS["ME3"]
-        rng = np.random.default_rng(42)
-        u = rng.random(10**5)
-        picks = np.array([sample_outlet(env, float(v)) for v in u[:10**4]])
-        for i, w in enumerate(env.weights):
-            freq = np.mean(picks == i)
-            se = math.sqrt(w * (1 - w) / picks.size)
-            assert abs(freq - w) < 4 * se
-
-
-class TestEmitNews:
-    def test_zero_innovations_hit_the_mode(self):
-        item = emit_news(FAKE_NEWS_PARTISAN, side=False, z_politics=0.0, z_truth=0.0)
-        assert item.politics == pytest.approx(-0.9)
-        assert item.truth == pytest.approx(0.4)
-        item = emit_news(PREMIUM_PARTISAN, side=True, z_politics=0.0, z_truth=0.0)
-        assert item.politics == pytest.approx(0.7)
-        assert item.truth == pytest.approx(0.8)
-
-    def test_centrist_ignores_side(self):
-        a = emit_news(PREMIUM_CENTRIST, side=True, z_politics=0.4, z_truth=-0.2)
-        b = emit_news(PREMIUM_CENTRIST, side=False, z_politics=0.4, z_truth=-0.2)
-        assert a == b
-
-    def test_partisan_politics_magnitude_moment(self):
-        # |politics| of a fair two-sided emitter has the folded-normal law of
-        # |mu + sd Z|; check the sample mean against the closed form.
-        mu, sd = 0.7, 0.3
-        rng = np.random.default_rng(42)
-        n = 10**5
-        sides = rng.random(n) < 0.5
-        z = rng.standard_normal(n)
-        items = np.array(
-            [
-                emit_news(PREMIUM_PARTISAN, bool(s), float(zz), 0.0).politics
-                for s, zz in zip(sides[:20000], z[:20000])
-            ]
-        )
-        folded_mean = mu * (1.0 - 2.0 * norm_cdf(-mu / sd)) + sd * math.sqrt(
-            2.0 / math.pi
-        ) * math.exp(-0.5 * (mu / sd) ** 2)
-        sample = np.abs(items).mean()
-        se = np.abs(items).std() / math.sqrt(items.size)
-        assert abs(sample - folded_mean) < 4 * se
-        # Fair sides keep the signed mean at zero.
-        assert abs(items.mean()) < 4 * items.std() / math.sqrt(items.size)
-
-    def test_mirror_symmetry(self):
-        rng = np.random.default_rng(11)
-        for z_p, z_t in rng.normal(size=(50, 2)):
-            plus = emit_news(FAKE_NEWS_PARTISAN, True, float(z_p), float(z_t))
-            minus = emit_news(FAKE_NEWS_PARTISAN, False, -float(z_p), float(z_t))
-            assert plus.politics == pytest.approx(-minus.politics, abs=1e-15)
-            assert plus.truth == minus.truth
 
 
 class TestEnvironments:
@@ -299,6 +70,24 @@ class TestOutletSpecValidation:
         with pytest.raises(ValueError):
             OutletSpec(OutletKind.PREMIUM_PARTISAN, 0.7, 0.0, 0.8, 0.2, bimodal=True)
 
+    @pytest.mark.parametrize("sd", ["politics_sd", "truth_sd"])
+    @pytest.mark.parametrize("tiny", [1e-300, 1e-17, 1e-12, 0.99e-9])
+    def test_sd_below_the_relative_floor_is_rejected(self, sd, tiny):
+        # Narrower emissions corrupt the quadrature without an error: at
+        # truth_sd 1e-17 its win probability read 3.11.
+        with pytest.raises(ValueError, match=sd):
+            replace(PREMIUM_PARTISAN, **{sd: tiny})
+
+    def test_sd_floor_scales_with_the_mean(self):
+        # The built-ins load at import; the benchmark's "harsh" outlet too.
+        replace(FAKE_NEWS_PARTISAN, truth_sd=0.3)
+        replace(PREMIUM_PARTISAN, truth_sd=MIN_RELATIVE_SD)
+        replace(PREMIUM_PARTISAN, truth_mean=50.0, truth_sd=50 * MIN_RELATIVE_SD)
+        with pytest.raises(ValueError, match="truth_sd"):
+            replace(PREMIUM_PARTISAN, truth_mean=-50.0, truth_sd=10 * MIN_RELATIVE_SD)
+        with pytest.raises(ValueError, match="politics_sd"):
+            replace(PREMIUM_PARTISAN, politics_mean_magnitude=50.0, politics_sd=1e-8)
+
 
 class TestModelParams:
     def test_defaults(self):
@@ -318,13 +107,11 @@ class TestModelParams:
             ModelParams(discount_base=0.0)
 
 
-class TestAgentFromUnits:
-    def test_corners(self):
-        assert agent_from_units(0.0, 0.0, PARAMS) == AgentParams(0.0, 0.5)
-        assert agent_from_units(1.0, 1.0, PARAMS) == AgentParams(1.0, 1.0)
-
-    def test_analytic_stays_in_prior_support(self):
-        rng = np.random.default_rng(5)
-        for u in rng.random(100):
-            agent = agent_from_units(0.0, float(u), PARAMS)
-            assert PARAMS.analytic_low <= agent.analytic <= PARAMS.analytic_high
+@pytest.mark.parametrize(
+    "module", ["polarsim", "cli", "inference", "model", "oracle", "report", "trace"]
+)
+def test_every_exported_name_resolves(module):
+    mod = polarsim if module == "polarsim" else importlib.import_module(f"polarsim.{module}")
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{mod.__name__}.{name}"

@@ -274,6 +274,13 @@ class TestPosterior:
         with pytest.raises(ValueError):
             oracle.posterior(ME1, PARAMS, 1, grid_points=2)
 
+    @pytest.mark.parametrize("n_obs", [0, 1, 100])
+    def test_weight_underflow_raises_naming_likelihood_sd(self, n_obs):
+        # At likelihood_sd 0.02 the per-item weight is exactly 0 at every
+        # analytic node of some grid rows, so the density would be NaN.
+        with pytest.raises(ValueError, match="model.likelihood_sd"):
+            oracle.posterior(ME2, ModelParams(likelihood_sd=0.02), n_obs, grid_points=21)
+
     def test_grid_metadata_round_trip(self):
         g = oracle.posterior(ME1, PARAMS, 10)
         assert g.env_name == "ME1"

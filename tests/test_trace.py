@@ -1,26 +1,24 @@
-"""Tests for the flat trace layout, the vectorized judgment pipeline against
-the scalar model functions, and the mirror reflection."""
+"""Tests for the flat trace layout, the vectorized judgment pipeline on
+hand-derived cases, and the mirror reflection. The pipeline is held to the
+independent statement of the model in ``benchmarks/test_bench_refmodel.py``."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polarsim.model import (
-    BUILTIN_ENVIRONMENTS,
-    ModelParams,
-    agent_from_units,
-    emit_news,
-    judge,
-    log_likelihood,
-    sample_outlet,
-    truth_bounds,
-)
+from polarsim.model import BUILTIN_ENVIRONMENTS, MediaEnvironment, ModelParams
 from polarsim.trace import (
+    _env_arrays,
     address_count,
     init_trace,
+    judge_steps,
     normal_site_mask,
+    pipeline_from_values,
     reflect_unit,
     reflect_units,
     replay_values,
@@ -29,27 +27,6 @@ from polarsim.trace import (
 ME1 = BUILTIN_ENVIRONMENTS["ME1"]
 ME3 = BUILTIN_ENVIRONMENTS["ME3"]
 PARAMS = ModelParams()
-
-
-def scalar_step(values, step, agent, env, params):
-    """Independent scalar route through the model functions for one step
-    (numbered from 1): the judgment and its log factor."""
-    base = 2 + 6 * (step - 1)
-    outlet = env.outlets[sample_outlet(env, float(values[base]))]
-    side = float(values[base + 1]) < 0.5
-    news = emit_news(outlet, side, float(values[base + 2]), float(values[base + 3]))
-    b_news, b_agent = truth_bounds(news, agent, params)
-    judgment = judge(news, float(values[base + 4]) * b_news, float(values[base + 5]) * b_agent)
-    return judgment, log_likelihood(judgment.politics_judgment, agent.politics, params)
-
-
-def scalar_log_weight(values, n_obs, env, params):
-    agent = agent_from_units(float(values[0]), float(values[1]), params)
-    return sum(scalar_step(values, s, agent, env, params)[1] for s in range(1, n_obs + 1))
-
-
-def log_weight(values, n_obs, env):
-    return float(replay_values(values, n_obs, env, PARAMS)[2].sum())
 
 
 def mirror(values, n_obs):
@@ -121,15 +98,6 @@ class TestReplay:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
-    def test_matches_scalar_composition(self):
-        # Dual route: vectorized replay against the plain model functions.
-        rng = np.random.default_rng(42)
-        for env in (ME1, ME3):
-            for n_obs in (1, 2, 17):
-                values = init_trace(n_obs, rng)
-                expected = scalar_log_weight(values, n_obs, env, PARAMS)
-                assert log_weight(values, n_obs, env) == pytest.approx(expected, abs=1e-10)
-
     def test_hand_composed_two_step_trace(self):
         n = 2
         values = np.zeros(address_count(n))
@@ -140,10 +108,22 @@ class TestReplay:
         values[base2 + 1] = 0.8  # negative side
         values[base2 + 4] = 0.9  # strong news contest draw
         values[base2 + 5] = 0.1
-        expected = scalar_log_weight(values, n, ME1, PARAMS)
-        _, _, factors, accepted, _ = replay_values(values, n, ME1, PARAMS)
-        assert float(factors.sum()) == pytest.approx(expected, abs=1e-12)
-        assert len(accepted) == 2
+        p_a, a_a, pipe = pipeline_from_values(values, n, ME1, PARAMS)
+        assert (p_a, a_a) == (0.4, 0.75)
+        mode = -math.log(0.25 * math.sqrt(2.0 * math.pi))
+        # Step 1: centrist item (politics 0, truth 0.8) and two zero contest
+        # draws, a tie, so rejected; -0 scores 1.6 sds from the agent.
+        # Step 2: fake news item at its negative mode (politics -0.9, truth
+        # 0.4), news draw 0.9 * 0.4 against 0.1 * (0.75 - 0.2 * 0.2 ** 1.3),
+        # so accepted; -0.9 scores 5.2 sds from the agent.
+        np.testing.assert_array_equal(pipe.p_news, [0.0, -0.9])
+        assert pipe.x_news[1] == pytest.approx(0.36, abs=1e-15)
+        np.testing.assert_array_equal(pipe.accepted, [False, True])
+        np.testing.assert_array_equal(pipe.p_judged, [0.0, -0.9])
+        np.testing.assert_allclose(
+            pipe.log_factors, [mode - 0.5 * 1.6**2, mode - 0.5 * 5.2**2], rtol=0, atol=1e-12
+        )
+        assert float(pipe.log_factors.sum()) == pytest.approx(-13.86528834, abs=1e-8)
 
     def test_judgment_count_and_agent(self):
         values = init_trace(9, np.random.default_rng(2))
@@ -154,19 +134,96 @@ class TestReplay:
         assert a_a == pytest.approx(lo + (hi - lo) * values[1])
 
 
-class TestStepLogFactor:
-    def test_matches_vectorized_factors(self):
-        rng = np.random.default_rng(42)
-        for env in (ME1, ME3):
-            values = init_trace(25, rng)
-            p_a, a_a, factors, accepted, p_judged = replay_values(values, 25, env, PARAMS)
-            agent = agent_from_units(float(values[0]), float(values[1]), PARAMS)
-            assert (agent.politics, agent.analytic) == (p_a, a_a)
-            for step in (1, 7, 25):
-                judgment, factor = scalar_step(values, step, agent, env, PARAMS)
-                assert factor == pytest.approx(float(factors[step - 1]), abs=1e-12)
-                assert judgment.truth_judgment == accepted[step - 1]
-                assert judgment.politics_judgment == p_judged[step - 1]
+def judge(cols, agent_politics=0.0, agent_analytic=0.75, env=ME1, params=PARAMS):
+    """``judge_steps`` on the six value columns given as rows."""
+    return judge_steps(
+        np.array(cols, dtype=float), agent_politics, agent_analytic, _env_arrays(env), params
+    )
+
+
+class TestJudgeSteps:
+    """Hand-derived cases of the judgment pipeline, one step per column."""
+
+    @pytest.mark.parametrize("env", [ME1, ME3], ids=["ME1", "ME3"])
+    def test_outlet_draw_on_a_cumulative_share_picks_the_next_outlet(self, env):
+        c0, c1, _ = env.cumulative_weights()
+        u = [0.0, np.nextafter(c0, 0.0), c0, np.nextafter(c1, 0.0), c1, 1.0]
+        pipe = judge([u, [0.0] * 6, [0.0] * 6, [0.0] * 6, [0.0] * 6, [0.0] * 6], env=env)
+        mags = [o.politics_mean_magnitude for o in env.outlets]  # side coin 0: + mode
+        np.testing.assert_array_equal(pipe.p_news, [0.0, 0.0, mags[1], mags[1], mags[2], mags[2]])
+
+    def test_a_tie_rejects_and_flips_the_politics(self):
+        # Premium partisan at its + mode. Truth 0.8 with both contest draws
+        # 0; truth 0.8 - 0.2 * 5 < 0 (news bound 0) with both draws 0 and
+        # with a news draw of 1: all ties, so rejected. Last, an agent bound
+        # clamped to 0 (analytic 0.1 minus the full 0.2 discount) loses to
+        # any positive news draw and ties with a zero one.
+        pipe = judge(
+            [[0.75] * 3, [0.2] * 3, [0.0] * 3, [0.0, -5.0, -5.0], [0.0, 0.0, 1.0], [0.0] * 3],
+            agent_politics=0.7,
+        )
+        np.testing.assert_array_equal(pipe.x_news, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(pipe.accepted, [False, False, False])
+        np.testing.assert_array_equal(pipe.p_judged, [-0.7, -0.7, -0.7])
+        clamped = judge(
+            [[0.75] * 2, [0.2] * 2, [0.0] * 2, [0.0] * 2, [0.1, 0.0], [1.0] * 2],
+            agent_politics=0.7,
+            agent_analytic=0.1,
+        )
+        np.testing.assert_array_equal(clamped.accepted, [True, False])
+        np.testing.assert_array_equal(clamped.p_judged, [0.7, -0.7])
+
+    def test_a_unimodal_outlet_ignores_the_side_coin(self):
+        # Even with a magnitude set, the centrist emits around 0.
+        outlets = (replace(ME1.outlets[0], politics_mean_magnitude=0.6), *ME1.outlets[1:])
+        env = MediaEnvironment("m", ME1.weights, outlets)
+        rest = [[0.4, 0.4], [-0.2, -0.2], [0.6, 0.6], [0.3, 0.3]]
+        centrist = judge([[0.0, 0.0], [0.2, 0.8], *rest], env=env)
+        assert centrist.p_news[0] == pytest.approx(0.5 * 0.4)
+        for field in centrist:
+            assert field[0] == field[1]
+        partisan = judge([[0.75, 0.75], [0.2, 0.8], *rest])
+        assert partisan.p_news[0] == pytest.approx(0.7 + 0.3 * 0.4)
+        assert partisan.p_news[1] == pytest.approx(-0.7 + 0.3 * 0.4)
+
+    def test_zero_innovations_hit_the_outlet_mode(self):
+        # Centrist, partisan on its + side, fake news on its - side; news
+        # draw 1 and agent draw 0, so the news draw is the item's truth.
+        zeros = [0.0] * 3
+        pipe = judge([[0.0, 0.75, 0.95], [0.2, 0.2, 0.8], zeros, zeros, [1.0] * 3, zeros])
+        np.testing.assert_array_equal(pipe.p_news, [0.0, 0.7, -0.9])
+        np.testing.assert_array_equal(pipe.x_news, [0.8, 0.8, 0.4])
+        np.testing.assert_array_equal(pipe.p_judged, pipe.p_news)
+
+    @pytest.mark.parametrize("sd", [0.25, 0.4, 1e-3])
+    def test_factor_at_the_agent_politics_is_the_mode_height(self, sd):
+        # An accepted partisan item at its mode judges 0.7, the agent's own
+        # politics; one judged 0.7 + sd scores half a log unit lower.
+        params = ModelParams(likelihood_sd=sd)
+        cols = [[0.75] * 2, [0.2] * 2, [0.0, sd / 0.3], [0.0] * 2, [1.0] * 2, [0.0] * 2]
+        pipe = judge(cols, agent_politics=0.7, params=params)
+        mode = -math.log(sd * math.sqrt(2.0 * math.pi))
+        assert pipe.p_judged[0] == 0.7
+        assert pipe.log_factors[0] == pytest.approx(mode, rel=1e-15, abs=1e-15)
+        assert pipe.log_factors[1] == pytest.approx(mode - 0.5, abs=1e-12)
+        if sd == 0.25:
+            assert pipe.log_factors[0] == pytest.approx(0.4673558279, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "params, corners",
+        [
+            (PARAMS, {(0.0, 0.0): (0.0, 0.5), (1.0, 1.0): (1.0, 1.0)}),
+            (
+                ModelParams(prior_politics_sd=2.0, analytic_low=0.1, analytic_high=0.9),
+                {(0.0, 0.0): (0.0, 0.1), (-1.0, 1.0): (-2.0, 0.9)},
+            ),
+        ],
+    )
+    def test_agent_map_corners(self, params, corners):
+        for (z_politics, u_analytic), agent in corners.items():
+            values = np.zeros(address_count(1))
+            values[:2] = z_politics, u_analytic
+            assert pipeline_from_values(values, 1, ME1, params)[:2] == agent
 
 
 class TestReflectUnit:
