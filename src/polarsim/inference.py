@@ -1,19 +1,17 @@
-"""Metropolis-Hastings over flat trace values, with two kernels chosen by N.
+"""Metropolis-Hastings over flat trace values, by a systematic scan.
 
-Below ``SCAN_STEPS`` observations, each iteration either proposes a new
-value at one uniformly chosen site (prior resample or reflected random
-walk) or applies a whole-trace mirror flip that exchanges the two politics
-modes exactly. Every iteration takes one value from each of six proposal
-streams, whichever branch runs, served a block of iterations at a time. An
-agent-site proposal rescores every step over plain floats, summing the
-factors in NumPy's pairwise order.
+One scan proposes at every site once: the two agent sites one at a time,
+then each of the six step columns at all N steps, and after a full scan a
+mirror flip that exchanges the two politics modes. Given the agent the
+steps are conditionally independent, so each step of a column is accepted
+on its own.
 
-From ``SCAN_STEPS`` observations up, a systematic scan proposes at every
-site in turn: the two agent sites one at a time, then each step column at
-all N steps in one NumPy pass, and a mirror flip after each full scan.
-
-Either way a chain's trajectory is a pure function of its seed, and its
-memory does not grow with its length.
+How a scan is evaluated depends on N, not what it decides. Below
+``SCAN_STEPS`` observations the steps are held as plain floats and scored
+one proposal at a time (``_FloatSteps``); from there up, as a (6, N) array
+with one NumPy pass per step column (``_ArraySteps``). Both take the same
+draws and give the same chain bit for bit, so a chain's trajectory is a
+pure function of its seed, and its memory does not grow with its length.
 
 Chain seeds are derived from the experiment seed with a splitmix64 mix, and
 samples are concatenated in chain order, so results are identical whether
@@ -35,7 +33,9 @@ import numpy as np
 from polarsim.model import MediaEnvironment, ModelParams, _require_finite
 from polarsim.trace import (
     _COL_SIDE,
+    _COL_XA,
     _COL_ZPOL,
+    _COL_ZTRUTH,
     _HALF_LOG_2PI,
     _env_arrays,
     address_count,
@@ -60,21 +60,12 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# Iterations of proposal randomness drawn and precomputed at a time.
-STREAM_BLOCK = 8192
-
-# The double below 0.5; with 0.5 itself, the only v with fl(1 - v) == 0.5.
-_BELOW_HALF = 0.49999999999999994
-
-# Chains over this many observations and more run the systematic scan;
-# below it, the single-site kernel. Measured on ME2 per iteration,
-# single-site against scan: 2.24 against 4.61 us at N = 16, 2.85 against
-# 3.51 at N = 24, 3.13 against 1.33 at N = 48 and 2.68 against 0.94 at
-# N = 100. The crossover lies between 24 and 48; the threshold stays at 72
-# so that every chain below it keeps its trajectory bit for bit. At most
-# 129: the single-site kernel sums agent-site factors with `_pairwise_sum`,
-# which reproduces NumPy's sum up to 128 terms.
-SCAN_STEPS = 72
+# Chains over this many observations and more evaluate the scan in NumPy
+# columns; below it, over plain floats. It only sets the speed: both give
+# the same chain. See README "Sampler kernels" for the per-N timings it is
+# set from. At most 129: the plain-float path sums log factors with
+# `_pairwise_sum`, which reproduces NumPy's sum up to 128 terms.
+SCAN_STEPS = 46
 
 
 def derive_chain_seed(seed: int, chain_index: int) -> int:
@@ -94,12 +85,12 @@ class InferenceConfig:
     """Sampler budget and kernel mixture for one experiment cell.
 
     ``prior_prob`` is the chance a site proposal resamples from the unit
-    prior instead of random-walking; ``flip_prob`` is the chance an
-    iteration of the single-site kernel applies the mirror flip instead of a
-    site proposal (0 recovers the plain single-site kernel; the systematic
-    scan flips after a full scan with the matching odd-count chance).
-    ``disable_likelihood`` zeroes every step factor so chains target the
-    prior exactly.
+    prior instead of random-walking. After each full scan of 6N + 2 site
+    proposals a mirror flip is made with probability
+    (1 - (1 - 2 ``flip_prob``)^(6N + 2)) / 2, the chance of an odd number
+    of flips if each proposal were replaced by a flip with probability
+    ``flip_prob``; 0 makes no flips. ``disable_likelihood`` zeroes every
+    step factor so chains target the prior exactly.
     """
 
     n_chains: int = 256
@@ -144,9 +135,10 @@ class ChainResult:
     """Kept draws of one chain plus its final state for auditing.
 
     ``samples`` has one row per kept iteration with columns (agent politics,
-    agent analytic). ``n_proposals`` counts site proposals and
-    ``n_accepted`` the accepted ones; ``n_flips`` counts mirror flips, which
-    are not proposals.
+    agent analytic). Every iteration is one site proposal, so
+    ``n_proposals`` equals the iterations; ``n_accepted`` counts the
+    accepted ones, and ``n_flips`` the mirror flips made after full scans,
+    which are not proposals.
     """
 
     samples: np.ndarray
@@ -193,263 +185,28 @@ def run_chain(
 ) -> ChainResult:
     """One chain over a fresh prior-drawn value array (``init_trace``).
 
-    The chain start is scored by one ``pipeline_from_values`` pass. Below
-    ``SCAN_STEPS`` observations the chain runs the random-scan single-site
-    kernel (``_site_chain``); from there up, the systematic scan
-    (``_scan_chain``). Both keep memory at O(block + n_obs + kept samples),
-    not O(iterations). The incremental log weight is cross-checked against a
-    full replay in the test suite.
+    The chain start is scored by one ``pipeline_from_values`` pass, and the
+    chain runs the systematic scan (``_scan_chain``), over plain floats
+    below ``SCAN_STEPS`` observations and in NumPy columns from there up.
+    Memory is O(n_obs + kept samples), not O(iterations). The incremental
+    log weight is cross-checked against a full replay in the test suite.
     """
     chain_seed = derive_chain_seed(config.seed, chain_index)
     rng = np.random.default_rng(chain_seed)
     values = init_trace(n_obs, rng)
     start = pipeline_from_values(values, n_obs, env, params)
-    kernel = _scan_chain if n_obs >= SCAN_STEPS else _site_chain
-    samples, n_props, n_acc, n_flips, final_values, log_weight = kernel(
+    samples, n_acc, n_flips, final_values, log_weight = _scan_chain(
         values, start, rng, env, params, n_obs, config
     )
     return ChainResult(
         samples=samples,
-        n_proposals=n_props,
+        n_proposals=config.iterations,
         n_accepted=n_acc,
         n_flips=n_flips,
         final_values=final_values,
         final_log_weight=log_weight,
         chain_seed=chain_seed,
     )
-
-
-def _site_chain(
-    values: np.ndarray,
-    start: tuple,
-    rng: np.random.Generator,
-    env: MediaEnvironment,
-    params: ModelParams,
-    n_obs: int,
-    config: InferenceConfig,
-) -> tuple:
-    """The random-scan single-site kernel, for fewer than ``SCAN_STEPS`` steps.
-
-    Each iteration proposes at one uniformly chosen site or applies a mirror
-    flip. State is kept as plain floats with per-step caches (judged
-    politics and the news contest draw of every step), so a step-site
-    proposal recomputes one step and an agent-site proposal recomputes all
-    steps in a loop, summing the step factors in NumPy's pairwise order
-    (``_pairwise_sum``) so the log weight is bitwise the one NumPy's sum
-    gives.
-
-    The six proposal streams come from ``_stream_blocks``, a block of
-    iterations at a time, and each block's site, prior flag, prior value and
-    walk step are computed in NumPy before the loop runs over them. An
-    exact mirror flip negates only the agent's politics; each step applies
-    the flips it owes when it is next read, so a flip costs O(1), not
-    O(n_obs). Returns ``(samples, proposals, accepted, flips, final values,
-    final log weight)``.
-    """
-    like_on = not config.disable_likelihood
-    n_addr = address_count(n_obs)
-    normal_mask = normal_site_mask(n_obs)
-    is_normal = normal_mask.tolist()
-
-    env_arrays = _env_arrays(env)
-    cums = env_arrays[0].tolist()
-    mag = env_arrays[1].tolist()
-    p_sd = env_arrays[2].tolist()
-    t_mean = env_arrays[3].tolist()
-    t_sd = env_arrays[4].tolist()
-    last_outlet = len(cums) - 1
-
-    ds = params.discount_scale
-    db = params.discount_base
-    inv_sd = 1.0 / params.likelihood_sd
-    f_const = -math.log(params.likelihood_sd) - _HALF_LOG_2PI
-    p_scale = params.prior_politics_sd
-    a_low = params.analytic_low
-    a_span = params.analytic_high - params.analytic_low
-
-    vals = values.tolist()
-    p_agent, a_agent, pipe = start
-    p_news = pipe.p_news.tolist()
-    x_news = pipe.x_news.tolist()
-    if like_on:
-        logf = pipe.log_factors.tolist()
-        log_weight = float(pipe.log_factors.sum())
-    else:
-        logf = [0.0] * n_obs
-        log_weight = 0.0
-
-    burn = config.burn_in
-    thin = config.thin
-    flip_p = config.flip_prob
-    prior_p = config.prior_prob
-    w_scale = config.walk_scale
-
-    # Exact flips made so far, the count each step has applied, and the
-    # count at the last settle of every step.
-    n_lazy = 0
-    seen = [0] * n_obs
-    settled = 0
-    # Superset of the steps whose side coin is 0.5 or _BELOW_HALF; only
-    # those coins read 0.5 after a flip, which makes the flip a scored one.
-    # A step joins when a proposal at any of its sites might write such a
-    # value, and never leaves.
-    below_half = _BELOW_HALF
-    fold = {s for s in range(n_obs) if below_half <= vals[3 + 6 * s] <= 0.5}
-
-    exp = math.exp
-    kept = []
-    next_keep = burn + thin - 1
-    n_props = 0
-    n_acc = 0
-    n_flips = 0
-
-    for start, u_kind, u_site, u_mix, z_innov, u_innov, u_accept in _stream_blocks(
-        rng, config.iterations
-    ):
-        # Site -1 marks a flip; astype truncates like int() on [0, n_addr].
-        sites = np.minimum((u_site * n_addr).astype(np.int64), n_addr - 1)
-        flips = u_kind < flip_p
-        sites[flips] = -1
-        block_flips = int(np.count_nonzero(flips))
-        n_flips += block_flips
-        n_props += len(sites) - block_flips
-        steps = (sites - 2) // 6
-        drawn = np.where(normal_mask[sites], z_innov, u_innov)
-        on_fold = (steps >= 0) & (drawn >= below_half) & (drawn <= 0.5)
-        fold.update(steps[on_fold].tolist())
-        for i, j, s, base, prior, new_prior, eps, u_acc in zip(
-            range(start, start + len(sites)),
-            sites.tolist(),
-            steps.tolist(),
-            (2 + 6 * steps).tolist(),
-            (u_mix < prior_p).tolist(),
-            drawn.tolist(),
-            (w_scale * z_innov).tolist(),
-            u_accept.tolist(),
-        ):
-            if j < 0:
-                # A settled side coin of exactly 0.5 makes the flip a scored one.
-                if fold:
-                    _settle(vals, p_news, seen, n_lazy, fold)
-                if fold and any(vals[3 + 6 * t] == 0.5 for t in fold):
-                    _settle(vals, p_news, seen, n_lazy, range(n_obs))
-                    settled = n_lazy
-                    p_agent, log_weight, p_news, x_news, logf = _scored_flip(
-                        vals, p_agent, log_weight, p_news, x_news, logf,
-                        u_acc, like_on, n_obs, env, params,
-                    )
-                else:
-                    # Exact mirror image: every step factor is preserved
-                    # bitwise, so the flip is always accepted and only the
-                    # politics-signed values change. Each step applies its
-                    # part (side coin, politics innovation, judged news
-                    # politics) when it is next read.
-                    vals[0] = -vals[0]
-                    p_agent = -p_agent
-                    n_lazy += 1
-            else:
-                if j >= 2:
-                    owed = n_lazy - seen[s]
-                    if owed:
-                        # _settle inlined for one step, as a call here costs
-                        # about 10% at N = 100: 1 - v once for an odd count,
-                        # twice for an even one (see _settle for why).
-                        seen[s] = n_lazy
-                        v = 1.0 - vals[base + 1]
-                        if owed & 1:
-                            vals[base + 1] = v
-                            vals[base + 2] = -vals[base + 2]
-                            p_news[s] = -p_news[s]
-                        else:
-                            vals[base + 1] = 1.0 - v
-                old = vals[j]
-                if prior:
-                    new = new_prior
-                    corr = 0.0
-                elif is_normal[j]:
-                    new = old + eps
-                    corr = 0.5 * (old * old - new * new)
-                else:
-                    new = reflect_unit(old + eps)
-                    corr = 0.0
-                    if below_half <= new <= 0.5 and j >= 2:
-                        fold.add(s)
-                vals[j] = new
-
-                if j >= 2:
-                    if like_on:
-                        u_o, coin, z_pol, z_truth, u_xn, u_xa = vals[base : base + 6]
-                        o = bisect_right(cums, u_o)
-                        if o > last_outlet:
-                            o = last_outlet
-                        m = mag[o]
-                        p_n = (m if coin < 0.5 else -m) + p_sd[o] * z_pol
-                        t_n = t_mean[o] + t_sd[o] * z_truth
-                        b_n = t_n if t_n > 0.0 else 0.0
-                        b_a = a_agent - ds * db ** abs(p_n - p_agent)
-                        if b_a < 0.0:
-                            b_a = 0.0
-                        x_n = u_xn * b_n
-                        x_a = u_xa * b_a
-                        p_j = p_n if x_n > x_a else -p_n
-                        zz = (p_j - p_agent) * inv_sd
-                        f = f_const - 0.5 * zz * zz
-                        delta = f - logf[s]
-                        d = delta + corr
-                        if d >= 0.0 or u_acc < exp(d):
-                            n_acc += 1
-                            logf[s] = f
-                            p_news[s] = p_n
-                            x_news[s] = x_n
-                            log_weight += delta
-                        else:
-                            vals[j] = old
-                    elif corr >= 0.0 or u_acc < exp(corr):
-                        n_acc += 1
-                    else:
-                        vals[j] = old
-                else:
-                    if settled != n_lazy:
-                        _settle(vals, p_news, seen, n_lazy, range(n_obs))
-                        settled = n_lazy
-                    if j == 0:
-                        pa_new = p_scale * new
-                        aa_new = a_agent
-                    else:
-                        pa_new = p_agent
-                        aa_new = a_low + a_span * new
-                    if like_on and n_obs:
-                        # The bound may differ from NumPy's vectorized power
-                        # in the last bit, but it only enters a comparison.
-                        lf = []
-                        for p_n, x_n, u_xa in zip(p_news, x_news, vals[7::6]):
-                            b_a = aa_new - ds * db ** abs(p_n - pa_new)
-                            if b_a < 0.0:
-                                b_a = 0.0
-                            p_j = p_n if x_n > u_xa * b_a else -p_n
-                            zz = (p_j - pa_new) * inv_sd
-                            lf.append(f_const - 0.5 * zz * zz)
-                        new_lw = _pairwise_sum(lf)
-                    else:
-                        lf = None
-                        new_lw = 0.0
-                    d = (new_lw - log_weight) + corr
-                    if d >= 0.0 or u_acc < exp(d):
-                        n_acc += 1
-                        p_agent = pa_new
-                        a_agent = aa_new
-                        log_weight = new_lw
-                        if lf is not None:
-                            logf = lf
-                    else:
-                        vals[j] = old
-
-            if i == next_keep:
-                kept.append((p_agent, a_agent))
-                next_keep += thin
-
-    _settle(vals, p_news, seen, n_lazy, range(n_obs))
-    return np.array(kept), n_props, n_acc, n_flips, np.array(vals), log_weight
 
 
 def _scan_chain(
@@ -461,43 +218,41 @@ def _scan_chain(
     n_obs: int,
     config: InferenceConfig,
 ) -> tuple:
-    """The systematic-scan kernel, for ``SCAN_STEPS`` steps and more.
+    """The systematic-scan kernel.
 
     One scan proposes at every site once, as 6N + 2 iterations: agent
     politics, agent analytic (each rescoring all N steps), then each of the
-    six step columns in layout order. Given the agent the steps are
-    conditionally independent, so one ``judge_steps`` pass scores a column's
-    proposal at every step and each step is accepted on its own. A site
+    six step columns in layout order, each step accepted on its own. A site
     proposal is a prior resample with probability ``prior_prob``, else a
     walk of ``walk_scale`` (reflected into [0, 1] at a uniform site, with the
     Gaussian prior correction at a normal one). The last scan stops
     mid-column when the iterations run out; a kept sample is the agent state
     after its iteration.
 
-    After each full scan a mirror flip is applied with the probability that
-    the single-site kernel flips an odd number of times over as many
-    iterations, (1 - (1 - 2 flip_prob)^(6N + 2)) / 2. It preserves every
-    step factor unless a side coin is exactly 0.5; then the flipped state is
-    scored and accepted by MH. ``flips`` counts the flips made.
+    After each full scan a mirror flip is made with probability
+    (1 - (1 - 2 flip_prob)^(6N + 2)) / 2. It preserves every step factor
+    unless a side coin is exactly 0.5; then the flipped state is scored and
+    accepted by MH. ``flips`` counts the flips made.
 
-    Each scan draws from ``rng``, in this order and one per iteration where
-    not said: uniforms for the prior-or-walk coins, then for the uniform
-    prior values, then for the accept draws; 2 uniforms for the flip coin
-    and its accept draw; standard normals for the normal prior values and
-    walk steps. State is a
-    (6, N) value block and the N step log factors; the log weight is their
-    sum. Returns ``(samples, proposals, accepted, flips, final values,
-    final log weight)``.
+    Each scan draws from ``rng`` 3 (6N + 2) + 2 uniforms in one call: the
+    prior-or-walk coins, the uniform prior values and the accept draws, one
+    per iteration each, then the flip coin and its accept draw. Then 6N + 2
+    standard normals, for the normal prior values and walk steps.
+
+    The agent sites, the keep rule and the flip coin are run here. The step
+    state, its scores and the flip itself are held by ``_FloatSteps`` (plain
+    floats, below ``SCAN_STEPS``) or ``_ArraySteps`` (NumPy columns, from
+    there up), which make the same decisions. Returns ``(samples, accepted,
+    flips, final values, final log weight)``.
     """
     like_on = not config.disable_likelihood
-    env_arrays = _env_arrays(env)
+    floats = n_obs < SCAN_STEPS
+    evaluation = _FloatSteps if floats else _ArraySteps
+    steps = evaluation(values[2:], start[2], n_obs, env, params, config)
     length = address_count(n_obs)
-    block = values[2:].reshape(n_obs, 6).T.copy()
-    normal_steps = normal_site_mask(n_obs)[2:].reshape(n_obs, 6).T.ravel()
     z_agent = float(values[0])
     u_agent = float(values[1])
-    p_agent, a_agent, pipe = start
-    logf = pipe.log_factors if like_on else np.zeros(n_obs)
+    p_agent, a_agent, _ = start
 
     p_scale = params.prior_politics_sd
     a_low = params.analytic_low
@@ -510,144 +265,283 @@ def _scan_chain(
     thin = config.thin
     exp = math.exp
 
-    def kept_before(i: int) -> int:
-        return max(0, i - burn) // thin
-
-    def score(cols, p_a: float, a_a: float) -> np.ndarray:
-        return judge_steps(cols, p_a, a_a, env_arrays, params).log_factors
-
-    samples = np.empty((config.kept_per_chain, 2))
-    n_kept = 0
+    kept_p, kept_a = [], []
+    next_keep = burn + thin - 1
     n_acc = 0
     n_flips = 0
     for first in range(0, iterations, length):
         todo = min(length, iterations - first)
-        mix, fresh, u_acc = rng.random((3, length))
-        u_flip, u_flip_acc = rng.random(2)
+        u = rng.random(3 * length + 2)
         z = rng.standard_normal(length)
-        prior = mix < prior_p
-        step = w_scale * z
+        if floats:
+            u, z = u.tolist(), z.tolist()
 
-        for site in (0, 1):
-            if site >= todo:
-                break
-            if site == 0:
-                old = z_agent
-                new = z[0] if prior[0] else old + step[0]
-                corr = 0.0 if prior[0] else 0.5 * (old * old - new * new)
-                pa_new, aa_new = p_scale * new, a_agent
-            else:
-                old = u_agent
-                new = fresh[1] if prior[1] else reflect_unit(old + step[1])
-                corr = 0.0
-                pa_new, aa_new = p_agent, a_low + a_span * new
+        # Agent politics.
+        total = steps.total() if like_on else 0.0
+        if u[0] < prior_p:
+            new, corr = z[0], 0.0
+        else:
+            new = z_agent + w_scale * z[0]
+            corr = 0.5 * (z_agent * z_agent - new * new)
+        pa_new = p_scale * new
+        if like_on:
+            lf, new_total = steps.score(pa_new, a_agent)
+            d = (new_total - total) + corr
+        else:
+            d = corr
+        if d >= 0.0 or u[2 * length] < exp(d):
+            n_acc += 1
+            z_agent, p_agent = new, pa_new
             if like_on:
-                lf = score(block, pa_new, aa_new)
-                d = (float(lf.sum()) - float(logf.sum())) + corr
-            else:
-                lf = logf
-                d = corr
-            if d >= 0.0 or u_acc[site] < exp(d):
-                n_acc += 1
-                if site == 0:
-                    z_agent = new
-                else:
-                    u_agent = new
-                p_agent, a_agent, logf = pa_new, aa_new, lf
-            # The agent state holds through the step columns that follow.
-            upto = first + todo if site else first + 1
-            count = kept_before(upto) - kept_before(first + site)
-            samples[n_kept : n_kept + count] = (p_agent, a_agent)
-            n_kept += count
+                steps.logf, total = lf, new_total
+        if next_keep == first:
+            kept_p.append(p_agent)
+            kept_a.append(a_agent)
+            next_keep += thin
+        if todo == 1:
+            break  # The budget ends at agent politics.
 
-        # A column's proposal reads only its own values, which hold until its
-        # pass, so all six are made up front; block order is scan order.
-        olds = block.ravel()
-        walk = olds + step[2:]
-        fresh_steps = np.where(normal_steps, z[2:], fresh[2:])
-        walked = np.where(normal_steps, walk, reflect_units(walk))
-        proposals = np.where(prior[2:], fresh_steps, walked).reshape(6, n_obs)
-        corrs = np.where(
-            normal_steps & ~prior[2:], 0.5 * (olds * olds - walk * walk), 0.0
-        ).reshape(6, n_obs)
-        for col in range(6):
-            lo = 2 + col * n_obs
-            if lo >= todo:
-                break
-            new = proposals[col]
+        # Agent analytic; its state holds through the step columns.
+        new = u[length + 1] if u[1] < prior_p else reflect_unit(u_agent + w_scale * z[1])
+        aa_new = a_low + a_span * new
+        if like_on:
+            lf, new_total = steps.score(p_agent, aa_new)
+            d = new_total - total
+        else:
+            d = 0.0
+        if d >= 0.0 or u[2 * length + 1] < exp(d):
+            n_acc += 1
+            u_agent, a_agent = new, aa_new
             if like_on:
-                rows = list(block)
-                rows[col] = new
-                lf = score(rows, p_agent, a_agent)
-                d = (lf - logf) + corrs[col]
-            else:
-                d = corrs[col]
-            accept = u_acc[lo : lo + n_obs] < np.exp(np.minimum(d, 0.0))
-            if todo - lo < n_obs:
-                accept[todo - lo :] = False
-            n_acc += int(np.count_nonzero(accept))
-            block[col] = np.where(accept, new, block[col])
-            if like_on:
-                logf = np.where(accept, lf, logf)
+                steps.logf = lf
+        while next_keep < first + todo:
+            kept_p.append(p_agent)
+            kept_a.append(a_agent)
+            next_keep += thin
 
-        if todo == length and u_flip < flip_q:
+        n_acc += steps.columns(p_agent, a_agent, u, z, todo)
+
+        if todo == length and u[3 * length] < flip_q:
             n_flips += 1
-            flipped = block.copy()
-            flipped[_COL_SIDE] = 1.0 - flipped[_COL_SIDE]
-            flipped[_COL_ZPOL] = -flipped[_COL_ZPOL]
-            if not np.any(block[_COL_SIDE] == 0.5):
-                # Exact mirror image: every step factor is preserved bitwise.
-                block, z_agent, p_agent = flipped, -z_agent, -p_agent
-            else:
-                lf = score(flipped, -p_agent, a_agent) if like_on else logf
-                d = float(lf.sum()) - float(logf.sum())
-                if d >= 0.0 or u_flip_acc < exp(d):
-                    block, z_agent, p_agent, logf = flipped, -z_agent, -p_agent, lf
+            if steps.flip(p_agent, a_agent, u[3 * length + 1]):
+                z_agent, p_agent = -z_agent, -p_agent
 
     final = np.empty(length)
     final[0] = z_agent
     final[1] = u_agent
-    final[2:].reshape(n_obs, 6)[:] = block.T
-    return samples, iterations, n_acc, n_flips, final, float(logf.sum())
+    final[2:] = steps.values()
+    log_weight = steps.total() if like_on else 0.0
+    return np.column_stack((kept_p, kept_a)), n_acc, n_flips, final, log_weight
 
 
-def _stream_blocks(rng: np.random.Generator, iterations: int):
-    """The six proposal streams of a chain, ``STREAM_BLOCK`` iterations at a time.
+class _ArraySteps:
+    """The steps of a scan chain as a (6, N) value block and the N step log
+    factors; each step column is proposed, scored and accepted at every step
+    in one NumPy pass."""
 
-    Yields ``(start, u_kind, u_site, u_mix, z_innov, u_innov, u_accept)``.
-    Concatenated, the blocks equal ``iterations`` draws each of ``random``
-    three times, ``standard_normal`` once and ``random`` twice, taken in that
-    order from ``rng``. The first stream is drawn from ``rng`` itself, and
-    every other stream has its own generator, placed where that whole-stream
-    draw would start. A uniform double takes one 64-bit output,
-    so those places are reached by ``advance``; the ziggurat takes a variable
-    number, so the streams after the normal one start where a full draw of
-    it, made and discarded in blocks, ends. ``rng`` must run on PCG64, as
-    ``default_rng`` does.
+    def __init__(self, values, pipe, n_obs, env, params, config):
+        self.n = n_obs
+        self.block = values.reshape(n_obs, 6).T.copy()
+        self.normal = normal_site_mask(n_obs)[2:].reshape(n_obs, 6).T.ravel()
+        self.logf = pipe.log_factors if not config.disable_likelihood else np.zeros(n_obs)
+        self.env_arrays = _env_arrays(env)
+        self.params = params
+        self.config = config
+
+    def total(self) -> float:
+        return float(self.logf.sum())
+
+    def values(self) -> np.ndarray:
+        return self.block.T.ravel()
+
+    def score(self, p_agent, a_agent, block=None) -> tuple:
+        """Log factors of every step for this agent, and their sum."""
+        block = self.block if block is None else block
+        lf = judge_steps(block, p_agent, a_agent, self.env_arrays, self.params).log_factors
+        return lf, float(lf.sum())
+
+    def columns(self, p_agent, a_agent, u, z, todo) -> int:
+        """Propose at the six step columns, one pass each; the accept count."""
+        n, like_on = self.n, not self.config.disable_likelihood
+        length = 6 * n + 2
+        prior = u[2:length] < self.config.prior_prob
+        fresh = u[length + 2 : 2 * length]
+        u_acc = u[2 * length + 2 : 3 * length]
+        # A column's proposal reads only its own values, which hold until its
+        # pass, so all six are made up front; block order is scan order.
+        olds = self.block.ravel()
+        walk = olds + self.config.walk_scale * z[2:]
+        fresh = np.where(self.normal, z[2:], fresh)
+        walked = np.where(self.normal, walk, reflect_units(walk))
+        proposals = np.where(prior, fresh, walked).reshape(6, n)
+        corrs = np.where(
+            self.normal & ~prior, 0.5 * (olds * olds - walk * walk), 0.0
+        ).reshape(6, n)
+        n_acc = 0
+        for col in range(6):
+            lo = col * n
+            if lo + 2 >= todo:
+                break
+            new = proposals[col]
+            if like_on:
+                rows = list(self.block)
+                rows[col] = new
+                lf, _ = self.score(p_agent, a_agent, rows)
+                d = (lf - self.logf) + corrs[col]
+            else:
+                d = corrs[col]
+            accept = u_acc[lo : lo + n] < np.exp(np.minimum(d, 0.0))
+            if todo - 2 - lo < n:
+                accept[todo - 2 - lo :] = False
+            n_acc += int(np.count_nonzero(accept))
+            self.block[col] = np.where(accept, new, self.block[col])
+            if like_on:
+                self.logf = np.where(accept, lf, self.logf)
+        return n_acc
+
+    def flip(self, p_agent, a_agent, u_accept) -> bool:
+        """Mirror the steps, exactly or, with a side coin at 0.5, by MH."""
+        flipped = self.block.copy()
+        flipped[_COL_SIDE] = 1.0 - flipped[_COL_SIDE]
+        flipped[_COL_ZPOL] = -flipped[_COL_ZPOL]
+        # Without a side coin at 0.5 the flip is the exact mirror image and
+        # keeps every step factor bitwise; without the likelihood every
+        # factor is 0. Either way it is accepted.
+        if np.any(self.block[_COL_SIDE] == 0.5) and not self.config.disable_likelihood:
+            lf, new_total = self.score(-p_agent, a_agent, flipped)
+            d = new_total - self.total()
+            if not (d >= 0.0 or u_accept < math.exp(d)):
+                return False
+            self.logf = lf
+        self.block = flipped
+        return True
+
+
+class _FloatSteps:
+    """The steps of a scan chain as plain floats: the 6N step values in
+    layout order, and per step the news politics, news contest draw and log
+    factor, as ``judge_steps`` gives them (kept only with the likelihood on).
+
+    A step proposal rescores its own step; an agent proposal rescores every
+    step from the cached news. The arithmetic is ``judge_steps``'s, in the
+    same order, and log factors are summed in NumPy's pairwise order
+    (``_pairwise_sum``), so every decision is the one ``_ArraySteps`` makes.
     """
-    def placed(state: dict, offset: int) -> np.random.Generator:
-        bit_generator = np.random.PCG64(0)  # seeded only to skip OS entropy
-        bit_generator.state = state
-        bit_generator.advance(offset)
-        return np.random.Generator(bit_generator)
 
-    state = rng.bit_generator.state
-    kind = rng
-    site, mix, normal, innov = (placed(state, k * iterations) for k in (1, 2, 3, 3))
-    for start in range(0, iterations, STREAM_BLOCK):
-        innov.standard_normal(min(STREAM_BLOCK, iterations - start))
-    accept = placed(innov.bit_generator.state, iterations)
-    for start in range(0, iterations, STREAM_BLOCK):
-        count = min(STREAM_BLOCK, iterations - start)
-        yield (
-            start,
-            kind.random(count),
-            site.random(count),
-            mix.random(count),
-            normal.standard_normal(count),
-            innov.random(count),
-            accept.random(count),
+    def __init__(self, values, pipe, n_obs, env, params, config):
+        self.n = n_obs
+        self.vals = values.tolist()
+        self.p_news = pipe.p_news.tolist()
+        self.x_news = pipe.x_news.tolist()
+        self.logf = pipe.log_factors.tolist() if not config.disable_likelihood else [0.0] * n_obs
+        self.env_arrays = _env_arrays(env)
+        self.params = params
+        self.config = config
+        # Scan order of the step sites: scan position, value index, step,
+        # the step's first value index, and whether it is a normal site.
+        self.order = [
+            (2 + col * n_obs + s, 6 * s + col, s, 6 * s, col in (_COL_ZPOL, _COL_ZTRUTH))
+            for col in range(6)
+            for s in range(n_obs)
+        ]
+        self.outlets = [a.tolist() for a in self.env_arrays]
+        self.judge = (
+            params.discount_scale,
+            params.discount_base,
+            params.likelihood_sd,
+            math.log(params.likelihood_sd),
         )
+
+    def total(self) -> float:
+        return _pairwise_sum(self.logf)
+
+    def values(self) -> list:
+        return self.vals
+
+    def score(self, p_agent, a_agent) -> tuple:
+        """Log factors of every step for this agent, and their sum."""
+        ds, db, sd, log_sd = self.judge
+        lf = []
+        for p_n, x_n, u_xa in zip(self.p_news, self.x_news, self.vals[_COL_XA::6]):
+            b_a = a_agent - ds * db ** abs(p_n - p_agent)
+            p_j = p_n if x_n > u_xa * (b_a if b_a > 0.0 else 0.0) else -p_n
+            zz = (p_j - p_agent) / sd
+            lf.append(-0.5 * zz * zz - log_sd - _HALF_LOG_2PI)
+        return lf, _pairwise_sum(lf)
+
+    def columns(self, p_agent, a_agent, u, z, todo) -> int:
+        """Propose at the step sites one at a time; the accept count."""
+        vals, p_news, x_news, logf = self.vals, self.p_news, self.x_news, self.logf
+        cums, mag, p_sd, t_mean, t_sd = self.outlets
+        ds, db, sd, log_sd = self.judge
+        prior_p, w_scale = self.config.prior_prob, self.config.walk_scale
+        like_on = not self.config.disable_likelihood
+        length = len(z)
+        fresh = u[length:]
+        accept = u[2 * length :]
+        outlets = len(cums)
+        exp = math.exp
+        n_acc = 0
+        for pos, j, s, base, normal in self.order[: max(0, todo - 2)]:
+            old = vals[j]
+            corr = 0.0
+            if u[pos] < prior_p:
+                new = z[pos] if normal else fresh[pos]
+            elif normal:
+                new = old + w_scale * z[pos]
+                corr = 0.5 * (old * old - new * new)
+            else:
+                new = reflect_unit(old + w_scale * z[pos])
+            if not like_on:
+                if corr >= 0.0 or accept[pos] < exp(corr):
+                    n_acc += 1
+                    vals[j] = new
+                continue
+            # judge_steps for one step, over plain floats.
+            vals[j] = new
+            u_o, coin, z_pol, z_truth, u_xn, u_xa = vals[base : base + 6]
+            o = bisect_right(cums, u_o)
+            if o == outlets:
+                o -= 1
+            m = mag[o]
+            p_n = (m if coin < 0.5 else -m) + p_sd[o] * z_pol
+            t_n = t_mean[o] + t_sd[o] * z_truth
+            x_n = u_xn * (t_n if t_n > 0.0 else 0.0)
+            b_a = a_agent - ds * db ** abs(p_n - p_agent)
+            p_j = p_n if x_n > u_xa * (b_a if b_a > 0.0 else 0.0) else -p_n
+            zz = (p_j - p_agent) / sd
+            f = -0.5 * zz * zz - log_sd - _HALF_LOG_2PI
+            d = (f - logf[s]) + corr
+            if d >= 0.0 or accept[pos] < exp(d):
+                n_acc += 1
+                logf[s] = f
+                p_news[s] = p_n
+                x_news[s] = x_n
+            else:
+                vals[j] = old
+        return n_acc
+
+    def flip(self, p_agent, a_agent, u_accept) -> bool:
+        """Mirror the steps, exactly or, with a side coin at 0.5, by MH."""
+        sides = self.vals[_COL_SIDE::6]
+        flipped = self.vals.copy()
+        flipped[_COL_SIDE::6] = [1.0 - v for v in sides]
+        flipped[_COL_ZPOL::6] = [-v for v in flipped[_COL_ZPOL::6]]
+        if 0.5 in sides and not self.config.disable_likelihood:
+            cols = np.array(flipped).reshape(self.n, 6).T
+            pipe = judge_steps(cols, -p_agent, a_agent, self.env_arrays, self.params)
+            d = float(pipe.log_factors.sum()) - self.total()
+            if not (d >= 0.0 or u_accept < math.exp(d)):
+                return False
+            self.p_news = pipe.p_news.tolist()
+            self.x_news = pipe.x_news.tolist()
+            self.logf = pipe.log_factors.tolist()
+        else:
+            # As in _ArraySteps.flip the factors are kept; an exact mirror
+            # image negates every news politics.
+            self.p_news = [-p for p in self.p_news]
+        self.vals = flipped
+        return True
 
 
 def _pairwise_sum(terms: list) -> float:
@@ -681,74 +575,6 @@ def _pairwise_sum(terms: list) -> float:
     for t in terms[end:]:
         total += t
     return total
-
-
-def _settle(vals: list, p_news: list, seen: list, n_lazy: int, steps) -> None:
-    """Apply to each of ``steps`` the lazy mirror flips it still owes.
-
-    A flip maps the side coin v to fl(1 - v) and negates the politics
-    innovation and the judged news politics. On [0, 1], fl(1 - v) applied
-    three times equals applying it once (1 - v is exact for v >= 0.5, and
-    undoes the rounded value for v < 0.5), but fl(1 - (1 - v)) != v for many
-    v < 0.5. So k owed flips apply 1 - v once when k is odd and twice when
-    k is even: a parity bit alone would not reproduce eager flips.
-    """
-    for s in steps:
-        owed = n_lazy - seen[s]
-        if owed:
-            seen[s] = n_lazy
-            side = 3 + 6 * s
-            v = 1.0 - vals[side]
-            if owed & 1:
-                vals[side] = v
-                vals[side + 1] = -vals[side + 1]
-                p_news[s] = -p_news[s]
-            else:
-                vals[side] = 1.0 - v
-
-
-def _scored_flip(
-    vals: list,
-    p_agent: float,
-    log_weight: float,
-    p_news: list,
-    x_news: list,
-    logf: list,
-    u_accept: float,
-    like_on: bool,
-    n_obs: int,
-    env: MediaEnvironment,
-    params: ModelParams,
-) -> tuple:
-    """Mirror flip of a settled state with a side coin on the fold.
-
-    A side coin exactly at 0.5 breaks the exact symmetry, so the flipped
-    trace is scored like any other proposal. The flip is its own inverse,
-    which makes the revert trivial. Returns the new ``(p_agent, log_weight,
-    p_news, x_news, logf)``.
-    """
-    sides = vals[3::6]
-    vals[0] = -vals[0]
-    vals[3::6] = [1.0 - v for v in sides]
-    vals[4::6] = [-v for v in vals[4::6]]
-    pa_new = -p_agent
-    if like_on and n_obs:
-        _, _, flipped = pipeline_from_values(np.array(vals), n_obs, env, params)
-        new_lw = float(flipped.log_factors.sum())
-    else:
-        flipped = None
-        new_lw = 0.0
-    delta = new_lw - log_weight
-    if delta >= 0.0 or u_accept < math.exp(delta):
-        if flipped is not None:
-            p_news = flipped.p_news.tolist()
-            x_news = flipped.x_news.tolist()
-            logf = flipped.log_factors.tolist()
-        return pa_new, new_lw, p_news, x_news, logf
-    vals[0] = -vals[0]
-    vals[3::6] = sides
-    vals[4::6] = [-v for v in vals[4::6]]
-    return p_agent, log_weight, p_news, x_news, logf
 
 
 def _run_chain_task(args: tuple) -> ChainResult:

@@ -34,6 +34,7 @@ politics: only the upper half of the grid is computed and mirrored.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -66,6 +67,15 @@ _CHUNK_ROWS = 8
 
 def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _log_norm_tail(x: float) -> float:
+    """log P(Z > x) for x > 0. Where the tail underflows, the Mills-ratio
+    upper bound log phi(x) - log x, so a bound built on it stays an upper one."""
+    tail = _norm_cdf(-x)
+    if tail >= sys.float_info.min:
+        return math.log(tail)
+    return -0.5 * x * x - 0.5 * math.log(2.0 * math.pi) - math.log(x)
 
 
 @lru_cache(maxsize=32)
@@ -426,11 +436,11 @@ def posterior(
 
     # Outside the grid the per-item weight keeps falling, so the boundary
     # marginal times the prior tail bounds the unseen mass.
-    prior_tail = _norm_cdf(-grid_halfwidth / params.prior_politics_sd)
+    log_prior_tail = _log_norm_tail(grid_halfwidth / params.prior_politics_sd)
     log_norm_total = shift + math.log(norm)
     tail = 0.0
     for edge in (0, -1):
-        tail += math.exp(log_marginal[edge] + math.log(prior_tail) - log_norm_total)
+        tail += math.exp(log_marginal[edge] + log_prior_tail - log_norm_total)
 
     return PosteriorGrid(
         grid=grid,

@@ -13,8 +13,9 @@ innovation, news contest draw, agent contest draw).
 
 ``judge_steps`` states the judgment math once, vectorized: it scores value
 columns for a given agent, and ``pipeline_from_values`` and the sampler's
-systematic scan both call it. (The sampler's single-site kernel inlines the
-same arithmetic over plain floats.) The independent statement the tests
+systematic scan both call it. (Below ``inference.SCAN_STEPS`` steps the scan
+is evaluated over plain floats, which restates the same arithmetic in the
+same order for one step at a time.) The independent statement the tests
 hold it to is ``benchmarks/refmodel.py``, which imports nothing from this
 package.
 """

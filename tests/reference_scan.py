@@ -1,11 +1,11 @@
 """A plain per-proposal statement of the systematic-scan kernel.
 
 `reference_scan_chain` runs the kernel that `polarsim.inference.run_chain`
-uses from `SCAN_STEPS` observations up, one site proposal per loop turn. It
-scores every proposal by `replay_values` on the whole flat value array and
-consumes the same draws in the same order, so the tests can require the
-vectorised scan to make the same decisions: the same samples, final values
-and counters.
+uses at every N, one site proposal per loop turn. It scores every proposal
+by `replay_values` on the whole flat value array and consumes the same
+draws in the same order, so the tests can require both evaluations of the
+scan, over plain floats and in NumPy columns, to make the same decisions:
+the same samples, final values and counters.
 """
 
 from __future__ import annotations

@@ -394,8 +394,8 @@ class TestMcmcMode:
         assert set(manifest["cells"]) == {"ME1_1", "ME1_10"}
         cell = manifest["cells"]["ME1_1"]
         assert cell["kept_samples"] == 4 * 150
-        # Every iteration is a site proposal or a mirror flip.
-        assert cell["proposals"] + cell["flips"] == 4 * 200
+        # Every iteration is a site proposal; flips follow full scans.
+        assert cell["proposals"] == 4 * 200
         assert 0 < cell["flips"] and 0 < cell["accepted"] <= cell["proposals"]
         assert cell["acceptance_rate"] == cell["accepted"] / cell["proposals"]
         assert "oracle_csv" not in cell
@@ -487,6 +487,29 @@ class TestOracleMode:
         assert manifest["complete"] is False
         assert manifest["cells"] == {}
         assert "model.likelihood_sd" in manifest["error"]
+
+    @pytest.mark.parametrize("prior_politics_sd", [0.1, 0.05])
+    def test_narrow_prior_writes_finite_grid_and_tail_bound(
+        self, tmp_path, prior_politics_sd
+    ):
+        # The prior mass beyond the grid underflows to 0 from sd 0.1 down,
+        # and taking its log exited 3 with a math domain error.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": {"prior_politics_sd": prior_politics_sd}}))
+        out = tmp_path / "o"
+        code = run_cli(
+            "oracle", "--config", str(path), "--env", "ME2", "--observations", "1",
+            "--grid-points", "21", "--out", str(out),
+        )
+        assert code == 0
+        lines = (out / "ME2_1_oracle.csv").read_text().splitlines()
+        (bound,) = [
+            float(line.split("=")[1]) for line in lines if line.startswith("# tail_mass_bound=")
+        ]
+        assert np.isfinite(bound) and bound >= 0.0
+        rows = lines[lines.index("p_a,density") + 1 :]
+        assert len(rows) == 21
+        assert np.isfinite([float(row.split(",")[1]) for row in rows]).all()
 
     def test_writes_grid_and_metrics(self, tmp_path):
         out = tmp_path / "o"

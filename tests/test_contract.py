@@ -1,5 +1,6 @@
 """The names and call shapes the benchmark harness (`benchmarks/`) looks up in
-the package, and the independence of the quadrature route from the sampler.
+the package, the independence of the quadrature route from the sampler, and
+the range the sampler's evaluation threshold must stay in.
 
 `benchmarks/traced.py` counts `trace.init_calls` and `trace.pipeline_calls` by
 replacing `inference.init_trace` and `inference.pipeline_from_values`, so
@@ -57,7 +58,7 @@ def test_run_chain_calls_init_and_pipeline_once_through_module_globals(monkeypat
     config = inference.InferenceConfig(
         n_chains=1, iterations=500, burn_in=100, seed=4, flip_prob=0.0
     )
-    # One count per kernel: the single-site one and the systematic scan.
+    # One count per evaluation of the scan: plain floats and NumPy columns.
     for n_obs in (10, inference.SCAN_STEPS):
         calls.update(dict.fromkeys(calls, 0))
         inference.run_chain(ME2, PARAMS, n_obs, config, 0)
@@ -73,3 +74,9 @@ def test_oracle_imports_nothing_from_the_sampler():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert {m for m in imported if m.startswith("polarsim")} == {"polarsim.model"}
+
+
+def test_plain_float_scan_sums_within_pairwise_range():
+    # Below SCAN_STEPS the scan sums its N log factors with _pairwise_sum,
+    # which reproduces NumPy's sum for up to 128 terms only.
+    assert inference.SCAN_STEPS - 1 <= 128

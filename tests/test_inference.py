@@ -1,4 +1,5 @@
-"""Tests for the parallel single-site MH sampler."""
+"""Tests for the systematic-scan MH sampler, its two evaluations and its
+reference loop."""
 
 import itertools
 import math
@@ -15,17 +16,14 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import polarsim.inference
-import reference_chain
 import reference_scan
 from polarsim import oracle
 from polarsim.inference import (
     SCAN_STEPS,
-    STREAM_BLOCK,
     ChainResult,
     InferenceConfig,
     SampleSet,
     _pairwise_sum,
-    _stream_blocks,
     derive_chain_seed,
     run_chain,
     sample_posterior,
@@ -42,12 +40,11 @@ from polarsim.model import (
 )
 from polarsim.trace import (
     init_trace,
+    judge_steps,
     normal_site_mask,
-    pipeline_from_values,
     reflect_unit,
     replay_values,
 )
-from reference_chain import reference_run_chain
 from reference_scan import reference_scan_chain
 
 PARAMS = ModelParams()
@@ -227,16 +224,23 @@ def assert_same_chain(new: ChainResult, ref: ChainResult) -> None:
     )
 
 
-def count_pipeline_calls(monkeypatch) -> list:
-    """Record each full pipeline evaluation run_chain makes; after the one at
-    chain start, each is a scored mirror flip."""
+def evaluated(monkeypatch, floats: bool, *args) -> ChainResult:
+    """``run_chain(*args)`` with the scan evaluated over plain floats or in
+    NumPy columns, whatever N."""
+    monkeypatch.setattr(polarsim.inference, "SCAN_STEPS", 129 if floats else 0)
+    return run_chain(*args)
+
+
+def count_scored_flips(monkeypatch) -> list:
+    """Record each ``judge_steps`` call ``run_chain`` makes; over plain floats
+    it makes one for each scored mirror flip, and no other."""
     calls = []
 
     def counted(*args):
         calls.append(args[1])
-        return pipeline_from_values(*args)
+        return judge_steps(*args)
 
-    monkeypatch.setattr(polarsim.inference, "pipeline_from_values", counted)
+    monkeypatch.setattr(polarsim.inference, "judge_steps", counted)
     return calls
 
 
@@ -269,8 +273,8 @@ needs_procfs = pytest.mark.skipif(
 
 
 def chain_peak_mib(n_obs: int) -> float:
-    """Peak resident MiB of a fresh interpreter running one default-kernel
-    chain of a million iterations at ``n_obs`` observations.
+    """Peak resident MiB of a fresh interpreter running one default chain of
+    a million iterations at ``n_obs`` observations.
 
     The child reads its peak from VmHWM: getrusage's ru_maxrss would carry
     over this process's peak from before exec.
@@ -295,143 +299,46 @@ def chain_peak_mib(n_obs: int) -> float:
     return int(out.stdout.split()[-1]) / 1024
 
 
-class TestStreamBlocks:
-    @pytest.mark.parametrize(
-        "iterations", [1, 1000, STREAM_BLOCK, 2 * STREAM_BLOCK + 3]
-    )
-    def test_blocks_equal_whole_stream_draws(self, iterations):
-        def after_init():
-            rng = np.random.default_rng(31)
-            init_trace(5, rng)
-            return rng
-
-        rng = after_init()
-        whole = [rng.random(iterations) for _ in range(3)]
-        whole.append(rng.standard_normal(iterations))
-        whole.extend(rng.random(iterations) for _ in range(2))
-
-        blocks = list(_stream_blocks(after_init(), iterations))
-        assert [b[0] for b in blocks] == list(range(0, iterations, STREAM_BLOCK))
-        assert all(len(stream) <= STREAM_BLOCK for b in blocks for stream in b[1:])
-        for k, expected in enumerate(whole, start=1):
-            served = np.concatenate([b[k] for b in blocks])
-            np.testing.assert_array_equal(served, expected)
-
+class TestChainMemory:
     @needs_procfs
-    def test_chain_memory_does_not_grow_with_iterations(self):
-        # A million iterations held as whole-stream float lists would take
-        # about 190 MiB; served in blocks the chain stays near the
-        # interpreter's own footprint.
-        assert chain_peak_mib(0) < 60
+    @pytest.mark.parametrize("n_obs", [0, 10, 100])
+    def test_does_not_grow_with_iterations(self, n_obs):
+        # A million iterations of draws held at once would take tens of
+        # MiB; a chain holds one scan's draws and stays near the
+        # interpreter's own footprint, under either evaluator.
+        assert chain_peak_mib(n_obs) < 60
 
 
-class TestMatchesReferenceLoop:
-    """Below SCAN_STEPS observations, run_chain reproduces the whole-stream
-    loop of tests/reference_chain.py."""
+ENVIRONMENTS = pytest.mark.parametrize(
+    "env, params",
+    [(ME1, PARAMS), (ME2, PARAMS), (ME3, PARAMS), (HARSH, HARSH_PARAMS)],
+    ids=["ME1", "ME2", "ME3", "harsh"],
+)
 
-    @pytest.mark.parametrize(
-        "env, params",
-        [(ME1, PARAMS), (ME2, PARAMS), (ME3, PARAMS), (HARSH, HARSH_PARAMS)],
-        ids=["ME1", "ME2", "ME3", "harsh"],
-    )
-    @pytest.mark.parametrize("n_obs", [0, 1, 7, 8, 15, 16, 17, 24, 71])
-    def test_bitwise_equal_chains(self, monkeypatch, env, params, n_obs):
-        kernels = itertools.product((0.0, 0.05, 0.5), (0.0, 0.7), (False, True))
-        for k, (flip_prob, prior_prob, prior_only) in enumerate(kernels):
-            cfg = InferenceConfig(
-                n_chains=1,
-                iterations=1000,
-                burn_in=200,
-                thin=3,
-                seed=100 * n_obs + k,
-                flip_prob=flip_prob,
-                prior_prob=prior_prob,
-                disable_likelihood=prior_only,
-            )
-            # A short block makes the chain span 11 blocks, the last partial.
-            for block in (97, STREAM_BLOCK):
-                monkeypatch.setattr(polarsim.inference, "STREAM_BLOCK", block)
-                assert_same_chain(
-                    run_chain(env, params, n_obs, cfg, 1),
-                    reference_run_chain(env, params, n_obs, cfg, 1),
-                )
+# (flip_prob, prior_prob, disable_likelihood)
+KERNELS = list(itertools.product((0.0, 0.05, 0.5), (0.0, 0.7), (False, True)))
 
-    @pytest.mark.parametrize("n_obs", [1, 16])
-    def test_bitwise_equal_over_full_blocks(self, n_obs):
-        cfg = InferenceConfig(
-            n_chains=1, iterations=2 * STREAM_BLOCK + 3, burn_in=1000, thin=7, seed=5
-        )
-        assert_same_chain(
-            run_chain(ME3, PARAMS, n_obs, cfg, 0),
-            reference_run_chain(ME3, PARAMS, n_obs, cfg, 0),
-        )
 
-    @pytest.mark.parametrize("coin", [0.5, BELOW_HALF], ids=["half", "below_half"])
-    @pytest.mark.parametrize(
-        "n_obs, steps", [(3, (1,)), (15, (0, 7, 14)), (16, (5,)), (40, range(40))]
-    )
-    def test_planted_fold_coins_take_the_scored_flip(
-        self, monkeypatch, coin, n_obs, steps
-    ):
-        def planted(n, rng):
-            values = init_trace(n, rng)
-            for s in steps:
-                values[3 + 6 * s] = coin
-            return values
+# A coin at 0.5 makes the next flip a scored one; a coin just below it
+# lands on 0.5 by an exact flip. Coins leave the fold when a proposal at
+# them is accepted, which the scan makes before its first flip, so only
+# some chains make a scored flip; over these, some do at every N tested.
+FOLD_COINS = pytest.mark.parametrize("coin", [0.5, BELOW_HALF], ids=["half", "below_half"])
+FOLD_CONFIGS = [dict(seed=seed) for seed in range(8)] + [
+    dict(seed=4, flip_prob=0.5),
+    dict(seed=5, flip_prob=0.5, disable_likelihood=True),
+]
 
-        monkeypatch.setattr(polarsim.inference, "init_trace", planted)
-        monkeypatch.setattr(reference_chain, "init_trace", planted)
-        calls = count_pipeline_calls(monkeypatch)
-        for flip_prob, prior_only in itertools.product((0.05, 0.5), (False, True)):
-            cfg = InferenceConfig(
-                n_chains=1,
-                iterations=600,
-                burn_in=100,
-                seed=7,
-                flip_prob=flip_prob,
-                disable_likelihood=prior_only,
-            )
-            calls.clear()
-            assert_same_chain(
-                run_chain(ME2, PARAMS, n_obs, cfg, 0),
-                reference_run_chain(ME2, PARAMS, n_obs, cfg, 0),
-            )
-            if flip_prob == 0.5 and not prior_only:
-                assert len(calls) > 1
 
-    @pytest.mark.parametrize("n_obs", [5, 16, 40])
-    def test_walks_onto_the_fold_take_the_scored_flip(self, monkeypatch, n_obs):
-        monkeypatch.setattr(polarsim.inference, "reflect_unit", sticky)
-        monkeypatch.setattr(reference_chain, "reflect_unit", sticky)
-        calls = count_pipeline_calls(monkeypatch)
-        cfg = InferenceConfig(
-            n_chains=1, iterations=2000, burn_in=100, seed=8, prior_prob=0.0,
-            flip_prob=0.3,
-        )
-        assert_same_chain(
-            run_chain(ME2, PARAMS, n_obs, cfg, 0),
-            reference_run_chain(ME2, PARAMS, n_obs, cfg, 0),
-        )
-        assert len(calls) > 1
+def planted(coin: float):
+    """``init_trace`` with every side coin set to ``coin``."""
 
-    @pytest.mark.parametrize("n_obs", [5, 40])
-    def test_prior_draws_onto_the_fold_take_the_scored_flip(self, monkeypatch, n_obs):
-        # Every uniform prior draw is 0.5, so side coins land on the fold
-        # through the prior branch alone.
-        def halves(rng, iterations):
-            for *first, u_innov, u_accept in _stream_blocks(rng, iterations):
-                yield *first, np.full_like(u_innov, 0.5), u_accept
+    def init(n, rng):
+        values = init_trace(n, rng)
+        values[3::6] = coin
+        return values
 
-        monkeypatch.setattr(polarsim.inference, "_stream_blocks", halves)
-        calls = count_pipeline_calls(monkeypatch)
-        cfg = InferenceConfig(
-            n_chains=1, iterations=3000, burn_in=100, seed=9, prior_prob=1.0,
-            flip_prob=0.3,
-        )
-        r = run_chain(ME2, PARAMS, n_obs, cfg, 0)
-        assert len(calls) > 1
-        _, _, factors, _, _ = replay_values(r.final_values, n_obs, ME2, PARAMS)
-        assert r.final_log_weight == pytest.approx(float(factors.sum()), abs=1e-9)
+    return init
 
 
 def assert_same_scan_chain(new: ChainResult, ref: ChainResult) -> None:
@@ -449,20 +356,18 @@ def assert_same_scan_chain(new: ChainResult, ref: ChainResult) -> None:
 
 
 class TestScanMatchesReferenceLoop:
-    """From SCAN_STEPS observations up, run_chain makes the decisions of the
-    per-proposal loop of tests/reference_scan.py, which scores every
-    proposal by a full replay."""
+    """At every N, run_chain makes the decisions of the per-proposal loop of
+    tests/reference_scan.py, which scores every proposal by a full replay:
+    over plain floats below SCAN_STEPS and in NumPy columns from there up."""
 
+    @ENVIRONMENTS
     @pytest.mark.parametrize(
-        "env, params",
-        [(ME1, PARAMS), (ME2, PARAMS), (ME3, PARAMS), (HARSH, HARSH_PARAMS)],
-        ids=["ME1", "ME2", "ME3", "harsh"],
+        "n_obs", [0, 1, 7, 8, 15, 16, 17, 24, SCAN_STEPS - 1, SCAN_STEPS, 71, 72, 100]
     )
-    @pytest.mark.parametrize("n_obs", [SCAN_STEPS, 100])
     def test_equal_chains(self, env, params, n_obs):
-        # 2,000 iterations end the last scan inside a step column.
-        kernels = itertools.product((0.0, 0.05, 0.5), (0.0, 0.7), (False, True))
-        for k, (flip_prob, prior_prob, prior_only) in enumerate(kernels):
+        # 2,000 iterations end the last scan inside a step column from N = 7
+        # up (at N = 0 and 1 they end with a full scan).
+        for k, (flip_prob, prior_prob, prior_only) in enumerate(KERNELS):
             cfg = InferenceConfig(
                 n_chains=1,
                 iterations=2000,
@@ -476,36 +381,28 @@ class TestScanMatchesReferenceLoop:
             ref, _ = reference_scan_chain(env, params, n_obs, cfg, 1)
             assert_same_scan_chain(run_chain(env, params, n_obs, cfg, 1), ref)
 
-    def test_equal_over_many_scans(self):
-        cfg = InferenceConfig(
-            n_chains=1, iterations=2 * STREAM_BLOCK + 3, burn_in=1000, thin=7, seed=5
-        )
-        ref, _ = reference_scan_chain(ME3, PARAMS, 100, cfg, 0)
-        assert_same_scan_chain(run_chain(ME3, PARAMS, 100, cfg, 0), ref)
+    @pytest.mark.parametrize("n_obs", [1, 16, 100])
+    def test_equal_over_many_scans(self, n_obs):
+        cfg = InferenceConfig(n_chains=1, iterations=16_387, burn_in=1000, thin=7, seed=5)
+        ref, _ = reference_scan_chain(ME3, PARAMS, n_obs, cfg, 0)
+        assert_same_scan_chain(run_chain(ME3, PARAMS, n_obs, cfg, 0), ref)
 
-    @pytest.mark.parametrize("coin", [0.5, BELOW_HALF], ids=["half", "below_half"])
-    def test_planted_fold_coins_take_the_scored_flip(self, monkeypatch, coin):
-        # A coin at 0.5 makes the next flip a scored one; a coin just below
-        # it lands on 0.5 by an exact flip. Coins leave the fold when a
-        # proposal at them is accepted, so a flip after the first scans
-        # may find none there; over four chains some flips are scored.
-        def planted(n, rng):
-            values = init_trace(n, rng)
-            values[3::6] = coin
-            return values
-
-        monkeypatch.setattr(polarsim.inference, "init_trace", planted)
-        monkeypatch.setattr(reference_scan, "init_trace", planted)
+    @FOLD_COINS
+    @pytest.mark.parametrize("n_obs", [3, 15, 16, 40, SCAN_STEPS - 1, SCAN_STEPS, 72])
+    def test_planted_fold_coins_take_the_scored_flip(self, monkeypatch, coin, n_obs):
+        monkeypatch.setattr(polarsim.inference, "init_trace", planted(coin))
+        monkeypatch.setattr(reference_scan, "init_trace", planted(coin))
         scored = 0
-        for seed in range(4):
-            cfg = InferenceConfig(n_chains=1, iterations=2000, burn_in=100, seed=seed)
-            ref, count = reference_scan_chain(ME2, PARAMS, SCAN_STEPS, cfg, 0)
-            assert_same_scan_chain(run_chain(ME2, PARAMS, SCAN_STEPS, cfg, 0), ref)
+        for kwargs in FOLD_CONFIGS:
+            cfg = InferenceConfig(n_chains=1, iterations=2000, burn_in=100, **kwargs)
+            ref, count = reference_scan_chain(ME2, PARAMS, n_obs, cfg, 0)
+            assert_same_scan_chain(run_chain(ME2, PARAMS, n_obs, cfg, 0), ref)
             scored += count
         assert scored > 0
 
     @pytest.mark.parametrize("prior_only", [False, True])
-    def test_walks_onto_the_fold_take_the_scored_flip(self, monkeypatch, prior_only):
+    @pytest.mark.parametrize("n_obs", [5, 16, 40, 72])
+    def test_walks_onto_the_fold_take_the_scored_flip(self, monkeypatch, n_obs, prior_only):
         monkeypatch.setattr(polarsim.inference, "reflect_unit", sticky)
         monkeypatch.setattr(
             polarsim.inference, "reflect_units", lambda u: np.array([sticky(v) for v in u])
@@ -515,16 +412,16 @@ class TestScanMatchesReferenceLoop:
             n_chains=1, iterations=4000, burn_in=100, seed=8, prior_prob=0.0,
             flip_prob=0.3, disable_likelihood=prior_only,
         )
-        ref, scored = reference_scan_chain(ME2, PARAMS, SCAN_STEPS, cfg, 0)
+        ref, scored = reference_scan_chain(ME2, PARAMS, n_obs, cfg, 0)
         assert scored > 0
-        assert_same_scan_chain(run_chain(ME2, PARAMS, SCAN_STEPS, cfg, 0), ref)
+        assert_same_scan_chain(run_chain(ME2, PARAMS, n_obs, cfg, 0), ref)
 
     @pytest.mark.parametrize("prior_prob", [0.0, 0.7])
-    def test_disabled_likelihood_keeps_the_prior(self, prior_prob):
+    @pytest.mark.parametrize("n_obs", [10, 72])
+    def test_disabled_likelihood_keeps_the_prior(self, n_obs, prior_prob):
         # Chains start at prior draws, so after 24 scans every site of
         # every chain is again a prior draw if the kernel leaves the prior
         # invariant; a missing walk correction or a bad reflection drifts.
-        n_obs = SCAN_STEPS
         length = 6 * n_obs + 2
         cfg = InferenceConfig(
             n_chains=128,
@@ -563,9 +460,81 @@ class TestScanMatchesReferenceLoop:
             b.n_flips,
         )
 
-    @needs_procfs
-    def test_chain_memory_does_not_grow_with_iterations(self):
-        assert chain_peak_mib(100) < 60
+
+class TestEvaluatorsAgree:
+    """Over plain floats and in NumPy columns, the scan gives the same chain
+    bit for bit: samples, final values, counters and final log weight."""
+
+    @ENVIRONMENTS
+    @pytest.mark.parametrize("n_obs", [0, 1, 7, 8, 16, 47, SCAN_STEPS - 1, SCAN_STEPS])
+    def test_bitwise_equal_chains(self, monkeypatch, env, params, n_obs):
+        for k, (flip_prob, prior_prob, prior_only) in enumerate(KERNELS):
+            cfg = InferenceConfig(
+                n_chains=1,
+                iterations=1000,
+                burn_in=200,
+                thin=3,
+                seed=100 * n_obs + k,
+                flip_prob=flip_prob,
+                prior_prob=prior_prob,
+                disable_likelihood=prior_only,
+            )
+            args = (env, params, n_obs, cfg, 1)
+            assert_same_chain(
+                evaluated(monkeypatch, True, *args), evaluated(monkeypatch, False, *args)
+            )
+
+    @pytest.mark.parametrize("n_obs", [1, 7])
+    def test_budgets_ending_anywhere_in_a_scan(self, monkeypatch, n_obs):
+        length = 6 * n_obs + 2
+        for iterations in range(3 * length, 4 * length + 1):
+            cfg = InferenceConfig(
+                n_chains=1, iterations=iterations, burn_in=length, seed=iterations,
+                flip_prob=0.3,
+            )
+            args = (HARSH, HARSH_PARAMS, n_obs, cfg, 0)
+            assert_same_chain(
+                evaluated(monkeypatch, True, *args), evaluated(monkeypatch, False, *args)
+            )
+
+    @FOLD_COINS
+    @pytest.mark.parametrize("n_obs", [3, 15, 16, 40, SCAN_STEPS - 1, SCAN_STEPS])
+    def test_planted_fold_coins(self, monkeypatch, coin, n_obs):
+        monkeypatch.setattr(polarsim.inference, "init_trace", planted(coin))
+        calls = count_scored_flips(monkeypatch)
+        scored = 0
+        for kwargs in FOLD_CONFIGS:
+            cfg = InferenceConfig(n_chains=1, iterations=2000, burn_in=100, **kwargs)
+            calls.clear()
+            floats = evaluated(monkeypatch, True, ME2, PARAMS, n_obs, cfg, 0)
+            scored += len(calls)
+            assert_same_chain(floats, evaluated(monkeypatch, False, ME2, PARAMS, n_obs, cfg, 0))
+        assert scored > 0
+
+    @pytest.mark.parametrize("n_obs", [5, 40])
+    def test_prior_draws_onto_the_fold(self, monkeypatch, n_obs):
+        # Every uniform prior draw at a step site is 0.5, so side coins
+        # land on the fold through the prior branch alone.
+        def halves(columns):
+            def patched(self, p_agent, a_agent, u, z, todo):
+                length = len(z)
+                u = u.copy()
+                u[length + 2 : 2 * length] = [0.5] * (length - 2)
+                return columns(self, p_agent, a_agent, u, z, todo)
+
+            return patched
+
+        for steps in (polarsim.inference._FloatSteps, polarsim.inference._ArraySteps):
+            monkeypatch.setattr(steps, "columns", halves(steps.columns))
+        calls = count_scored_flips(monkeypatch)
+        cfg = InferenceConfig(
+            n_chains=1, iterations=3000, burn_in=100, seed=9, prior_prob=1.0, flip_prob=0.3
+        )
+        floats = evaluated(monkeypatch, True, ME2, PARAMS, n_obs, cfg, 0)
+        assert len(calls) > 0
+        assert_same_chain(floats, evaluated(monkeypatch, False, ME2, PARAMS, n_obs, cfg, 0))
+        _, _, factors, _, _ = replay_values(floats.final_values, n_obs, ME2, PARAMS)
+        assert floats.final_log_weight == pytest.approx(float(factors.sum()), abs=1e-9)
 
 
 class TestPriorRecovery:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from polarsim import oracle
 from polarsim.model import (
@@ -265,6 +265,18 @@ class TestPosterior:
     def test_tail_mass_bound_is_tiny(self):
         g = oracle.posterior(ME2, PARAMS, 1)
         assert 0.0 <= g.tail_mass_bound < 1e-6
+
+    def test_prior_tail_is_exact_until_it_underflows(self):
+        # At prior sd 0.11 the tail beyond 4 is still a normal double, so
+        # grids keep the exact value; at 0.1 it underflows, and the
+        # Mills-ratio bound log phi(x) - log x takes over.
+        x = 4.0 / 0.11
+        assert oracle._log_norm_tail(x) == math.log(oracle._norm_cdf(-x))
+        for sd in (0.1, 0.05):
+            x = 4.0 / sd
+            assert oracle._norm_cdf(-x) == 0.0
+            exact = float(stats.norm.logsf(x))
+            assert exact <= oracle._log_norm_tail(x) < exact + 1.5 / (x * x)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
