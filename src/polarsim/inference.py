@@ -425,7 +425,9 @@ class _FloatSteps:
     A step proposal rescores its own step; an agent proposal rescores every
     step from the cached news. The arithmetic is ``judge_steps``'s, in the
     same order, and log factors are summed in NumPy's pairwise order
-    (``_pairwise_sum``), so every decision is the one ``_ArraySteps`` makes.
+    (``_pairwise_sum``), so every decision is the one ``_ArraySteps`` makes,
+    except at ties in the last bit: ``**`` and ``math.exp`` may round apart
+    from a SIMD build's vectorised power and exp.
     """
 
     def __init__(self, values, pipe, n_obs, env, params, config):
@@ -463,6 +465,8 @@ class _FloatSteps:
         ds, db, sd, log_sd = self.judge
         lf = []
         for p_n, x_n, u_xa in zip(self.p_news, self.x_news, self.vals[_COL_XA::6]):
+            # The bound may differ from NumPy's vectorised power in the last
+            # bit, but it only enters a comparison.
             b_a = a_agent - ds * db ** abs(p_n - p_agent)
             p_j = p_n if x_n > u_xa * (b_a if b_a > 0.0 else 0.0) else -p_n
             zz = (p_j - p_agent) / sd

@@ -253,8 +253,13 @@ SUMMANDS = st.one_of(
 )
 
 
+# _pairwise_sum must match NumPy's sum for every term count the plain-float
+# scan may see: SCAN_STEPS may be raised as far as 129.
+PAIRWISE_COUNTS = range(129)
+
+
 class TestPairwiseSum:
-    @pytest.mark.parametrize("n", range(SCAN_STEPS + 1))
+    @pytest.mark.parametrize("n", PAIRWISE_COUNTS)
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_equals_numpy_reduce(self, n, data):
@@ -262,7 +267,7 @@ class TestPairwiseSum:
         assert _pairwise_sum(terms.tolist()).hex() == float(np.add.reduce(terms)).hex()
 
     def test_negative_zeros_sum_to_positive_zero_like_numpy(self):
-        for n in range(SCAN_STEPS + 1):
+        for n in PAIRWISE_COUNTS:
             expected = np.add.reduce(np.full(n, -0.0))
             assert _pairwise_sum([-0.0] * n).hex() == float(expected).hex()
 
