@@ -6,17 +6,21 @@ mirror flip that exchanges the two politics modes. Given the agent the
 steps are conditionally independent, so each step of a column is accepted
 on its own.
 
-How a scan is evaluated depends on N, not what it decides. Below
-``SCAN_STEPS`` observations the steps are held as plain floats and scored
-one proposal at a time (``_FloatSteps``); from there up, as a (6, N) array
-with one NumPy pass per step column (``_ArraySteps``). Both take the same
-draws and give the same chain bit for bit, so a chain's trajectory is a
-pure function of its seed, and its memory does not grow with its length.
+``run_chains`` runs a batch of chains. How a batch is evaluated depends on
+its size, not what it decides. When chains x N falls below ``SCAN_STEPS``
+each chain runs alone over plain floats, scored one proposal at a time
+(``_FloatSteps``); from there up the batch runs in lock-step, its steps a
+(6, chains, N) array with one NumPy pass per site for the whole batch
+(``_scan_batch``). Every chain keeps its own generator and takes the same
+draws either way, so it is the same chain bit for bit in any batch: a
+chain's trajectory is a pure function of its seed, and its memory does not
+grow with its length.
 
 Chain seeds are derived from the experiment seed with a splitmix64 mix, and
 samples are concatenated in chain order, so results are identical whether
 chains run serially or in a process pool. ``queue_chains`` puts a cell's
-chains on a pool the caller owns, so one pool can serve many cells.
+chains on a pool the caller owns, one batch per worker, so one pool can
+serve many cells.
 """
 
 from __future__ import annotations
@@ -54,18 +58,20 @@ __all__ = [
     "derive_chain_seed",
     "queue_chains",
     "run_chain",
+    "run_chains",
     "sample_posterior",
     "write_samples_csv",
 ]
 
 _MASK64 = (1 << 64) - 1
 
-# Chains over this many observations and more evaluate the scan in NumPy
-# columns; below it, over plain floats. It only sets the speed: both give
-# the same chain. See README "Sampler kernels" for the per-N timings it is
-# set from. At most 129: the plain-float path sums log factors with
-# `_pairwise_sum`, which reproduces NumPy's sum up to 128 terms.
-SCAN_STEPS = 46
+# A batch whose chains x N reaches this runs in lock-step in NumPy; below
+# it each chain runs alone over plain floats. It only sets the speed: both
+# give the same chains. See README "Sampler kernels" for the timings it is
+# set from. At most 129: a chain alone has fewer observations than this,
+# and the plain-float path sums its log factors with `_pairwise_sum`, which
+# reproduces NumPy's sum up to 128 terms.
+SCAN_STEPS = 52
 
 
 def derive_chain_seed(seed: int, chain_index: int) -> int:
@@ -183,30 +189,50 @@ def run_chain(
     config: InferenceConfig,
     chain_index: int,
 ) -> ChainResult:
-    """One chain over a fresh prior-drawn value array (``init_trace``).
+    """One chain, as a batch of one (``run_chains``)."""
+    return run_chains(env, params, n_obs, config, [chain_index])[0]
 
-    The chain start is scored by one ``pipeline_from_values`` pass, and the
-    chain runs the systematic scan (``_scan_chain``), over plain floats
-    below ``SCAN_STEPS`` observations and in NumPy columns from there up.
-    Memory is O(n_obs + kept samples), not O(iterations). The incremental
+
+def run_chains(
+    env: MediaEnvironment,
+    params: ModelParams,
+    n_obs: int,
+    config: InferenceConfig,
+    indices: Iterable[int],
+) -> list[ChainResult]:
+    """The chains of ``indices``, each over a fresh prior-drawn value array.
+
+    Each chain draws its start (``init_trace``) from its own generator, and
+    the start is scored by one ``pipeline_from_values`` pass. Below
+    ``SCAN_STEPS`` chains x N the chains then run one by one over plain
+    floats (``_scan_chain``), from there up together (``_scan_batch``).
+    Either way chain i is the same, whatever batch it is run in. Memory is
+    O(chains x (n_obs + kept samples)), not O(iterations). The incremental
     log weight is cross-checked against a full replay in the test suite.
     """
-    chain_seed = derive_chain_seed(config.seed, chain_index)
-    rng = np.random.default_rng(chain_seed)
-    values = init_trace(n_obs, rng)
-    start = pipeline_from_values(values, n_obs, env, params)
-    samples, n_acc, n_flips, final_values, log_weight = _scan_chain(
-        values, start, rng, env, params, n_obs, config
-    )
-    return ChainResult(
-        samples=samples,
-        n_proposals=config.iterations,
-        n_accepted=n_acc,
-        n_flips=n_flips,
-        final_values=final_values,
-        final_log_weight=log_weight,
-        chain_seed=chain_seed,
-    )
+    seeds = [derive_chain_seed(config.seed, i) for i in indices]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    values = [init_trace(n_obs, rng) for rng in rngs]
+    starts = [pipeline_from_values(v, n_obs, env, params) for v in values]
+    if len(seeds) * n_obs < SCAN_STEPS:
+        runs = [
+            _scan_chain(v, start, rng, env, params, n_obs, config)
+            for v, start, rng in zip(values, starts, rngs)
+        ]
+    else:
+        runs = _scan_batch(values, starts, rngs, env, params, n_obs, config)
+    return [
+        ChainResult(
+            samples=samples,
+            n_proposals=config.iterations,
+            n_accepted=n_acc,
+            n_flips=n_flips,
+            final_values=final_values,
+            final_log_weight=log_weight,
+            chain_seed=seed,
+        )
+        for seed, (samples, n_acc, n_flips, final_values, log_weight) in zip(seeds, runs)
+    ]
 
 
 def _scan_chain(
@@ -218,7 +244,7 @@ def _scan_chain(
     n_obs: int,
     config: InferenceConfig,
 ) -> tuple:
-    """The systematic-scan kernel.
+    """The systematic-scan kernel, for one chain over plain floats.
 
     One scan proposes at every site once, as 6N + 2 iterations: agent
     politics, agent analytic (each rescoring all N steps), then each of the
@@ -239,16 +265,13 @@ def _scan_chain(
     per iteration each, then the flip coin and its accept draw. Then 6N + 2
     standard normals, for the normal prior values and walk steps.
 
-    The agent sites, the keep rule and the flip coin are run here. The step
-    state, its scores and the flip itself are held by ``_FloatSteps`` (plain
-    floats, below ``SCAN_STEPS``) or ``_ArraySteps`` (NumPy columns, from
-    there up), which make the same decisions. Returns ``(samples, accepted,
-    flips, final values, final log weight)``.
+    The agent sites, the keep rule and the flip coin are run here; the step
+    state, its scores and the flip itself are held by ``_FloatSteps``.
+    ``_scan_batch`` runs the same kernel over many chains at once. Returns
+    ``(samples, accepted, flips, final values, final log weight)``.
     """
     like_on = not config.disable_likelihood
-    floats = n_obs < SCAN_STEPS
-    evaluation = _FloatSteps if floats else _ArraySteps
-    steps = evaluation(values[2:], start[2], n_obs, env, params, config)
+    steps = _FloatSteps(values[2:], start[2], n_obs, env, params, config)
     length = address_count(n_obs)
     z_agent = float(values[0])
     u_agent = float(values[1])
@@ -271,10 +294,8 @@ def _scan_chain(
     n_flips = 0
     for first in range(0, iterations, length):
         todo = min(length, iterations - first)
-        u = rng.random(3 * length + 2)
-        z = rng.standard_normal(length)
-        if floats:
-            u, z = u.tolist(), z.tolist()
+        u = rng.random(3 * length + 2).tolist()
+        z = rng.standard_normal(length).tolist()
 
         # Agent politics.
         total = steps.total() if like_on else 0.0
@@ -334,87 +355,189 @@ def _scan_chain(
     return np.column_stack((kept_p, kept_a)), n_acc, n_flips, final, log_weight
 
 
-class _ArraySteps:
-    """The steps of a scan chain as a (6, N) value block and the N step log
-    factors; each step column is proposed, scored and accepted at every step
-    in one NumPy pass."""
+def _scan_batch(
+    values: list,
+    starts: list,
+    rngs: list,
+    env: MediaEnvironment,
+    params: ModelParams,
+    n_obs: int,
+    config: InferenceConfig,
+) -> list:
+    """The systematic-scan kernel of ``_scan_chain``, over C chains at once.
 
-    def __init__(self, values, pipe, n_obs, env, params, config):
-        self.n = n_obs
-        self.block = values.reshape(n_obs, 6).T.copy()
-        self.normal = normal_site_mask(n_obs)[2:].reshape(n_obs, 6).T.ravel()
-        self.logf = pipe.log_factors if not config.disable_likelihood else np.zeros(n_obs)
-        self.env_arrays = _env_arrays(env)
-        self.params = params
-        self.config = config
+    Each chain's values are a row of a (C, 6N + 2) array in scan order (the
+    agent sites, then the steps column by column), so a row lines up with
+    its draws; the steps are scored as six (C, N) columns with (C, N) log
+    factors, and the agent parameters are (C, 1) columns that broadcast
+    against them. Every site is one NumPy pass over the batch: one
+    ``judge_steps`` call scores an agent proposal or a step column of every
+    chain. Each chain still takes its scan's draws from its own generator,
+    into its rows of the (C, 3 (6N + 2) + 2) and (C, 6N + 2) draw buffers,
+    and the same arithmetic decides each of its proposals, so every chain
+    is the one ``_scan_chain`` runs. The keep rule reads only the iteration,
+    so all chains keep at the same iterations. A flipping chain with a side
+    coin at exactly 0.5 is scored on its own. Returns one ``_scan_chain``
+    tuple per chain.
+    """
+    like_on = not config.disable_likelihood
+    chains, n, length = len(rngs), n_obs, address_count(n_obs)
+    env_arrays = _env_arrays(env)
+    # The layout index of each site, in scan order.
+    order = np.concatenate(([0, 1], 2 + np.arange(6 * n).reshape(n, 6).T.ravel()))
+    state = np.array(values).take(order, axis=1)
+    # Views of the steps of ``state``: six (C, N) columns.
+    block = list(state[:, 2:].reshape(chains, 6, n).transpose(1, 0, 2))
+    z_agent = state[:, 0:1]
+    normal = normal_site_mask(n)[order]
+    logf = np.array([s[2].log_factors for s in starts]) if like_on else np.zeros((chains, n))
+    p_agent = np.array([[s[0]] for s in starts])
+    a_agent = np.array([[s[1]] for s in starts])
+    u_draws = np.empty((chains, 3 * length + 2))
+    z_draws = np.empty((chains, length))
+    u_accept = u_draws[:, 2 * length : 3 * length]
 
-    def total(self) -> float:
-        return float(self.logf.sum())
+    def score(cols, p, a):
+        """The (C, N) log factors of six (C, N) step columns for agents p, a."""
+        return judge_steps(cols, p, a, env_arrays, params).log_factors
 
-    def values(self) -> np.ndarray:
-        return self.block.T.ravel()
+    def mh(d, site):
+        """Accept by Metropolis-Hastings, with log ratios ``d`` at a site."""
+        return u_accept[:, site] < np.exp(np.minimum(d, 0.0))
 
-    def score(self, p_agent, a_agent, block=None) -> tuple:
-        """Log factors of every step for this agent, and their sum."""
-        block = self.block if block is None else block
-        lf = judge_steps(block, p_agent, a_agent, self.env_arrays, self.params).log_factors
-        return lf, float(lf.sum())
+    p_scale = params.prior_politics_sd
+    a_low = params.analytic_low
+    a_span = params.analytic_high - params.analytic_low
+    prior_p = config.prior_prob
+    w_scale = config.walk_scale
+    flip_q = 0.5 * (1.0 - (1.0 - 2.0 * config.flip_prob) ** length)
+    iterations = config.iterations
+    burn = config.burn_in
+    thin = config.thin
 
-    def columns(self, p_agent, a_agent, u, z, todo) -> int:
-        """Propose at the six step columns, one pass each; the accept count."""
-        n, like_on = self.n, not self.config.disable_likelihood
-        length = 6 * n + 2
-        prior = u[2:length] < self.config.prior_prob
-        fresh = u[length + 2 : 2 * length]
-        u_acc = u[2 * length + 2 : 3 * length]
-        # A column's proposal reads only its own values, which hold until its
-        # pass, so all six are made up front; block order is scan order.
-        olds = self.block.ravel()
-        walk = olds + self.config.walk_scale * z[2:]
-        fresh = np.where(self.normal, z[2:], fresh)
-        walked = np.where(self.normal, walk, reflect_units(walk))
-        proposals = np.where(prior, fresh, walked).reshape(6, n)
-        corrs = np.where(
-            self.normal & ~prior, 0.5 * (olds * olds - walk * walk), 0.0
-        ).reshape(6, n)
-        n_acc = 0
+    # Runs of kept samples: agent politics, agent analytic, times kept.
+    kept = []
+    next_keep = burn + thin - 1
+    n_acc = np.zeros((chains, 1), dtype=np.int64)
+    n_flips = np.zeros((chains, 1), dtype=np.int64)
+    step_acc = np.zeros((chains, n), dtype=np.int64)
+    for first in range(0, iterations, length):
+        todo = min(length, iterations - first)
+        for rng, u, z in zip(rngs, u_draws, z_draws):
+            rng.random(out=u)
+            rng.standard_normal(out=z)
+
+        # Every site's proposal reads only its own value, which holds until
+        # its turn in the scan, so all are made up front, in scan order.
+        prior = u_draws[:, :length] < prior_p
+        walk = state + w_scale * z_draws
+        fresh = np.where(normal, z_draws, u_draws[:, length : 2 * length])
+        proposals = np.where(prior, fresh, np.where(normal, walk, reflect_units(walk)))
+        corrs = np.where(normal & ~prior, 0.5 * (state * state - walk * walk), 0.0)
+
+        # Agent politics.
+        pa_new = p_scale * proposals[:, 0:1]
+        if like_on:
+            lf = score(block, pa_new, a_agent)
+            total = logf.sum(axis=1, keepdims=True)
+            new_total = lf.sum(axis=1, keepdims=True)
+            accept = mh((new_total - total) + corrs[:, 0:1], slice(0, 1))
+            np.copyto(logf, lf, where=accept)
+            total = np.where(accept, new_total, total)
+        else:
+            accept = mh(corrs[:, 0:1], slice(0, 1))
+        n_acc += accept
+        np.copyto(z_agent, proposals[:, 0:1], where=accept)
+        p_agent = np.where(accept, pa_new, p_agent)
+        if next_keep == first:
+            kept.append((p_agent, a_agent, 1))
+            next_keep += thin
+        if todo == 1:
+            break  # The budget ends at agent politics.
+
+        # Agent analytic; its state holds through the step columns.
+        aa_new = a_low + a_span * proposals[:, 1:2]
+        if like_on:
+            lf = score(block, p_agent, aa_new)
+            accept = mh(lf.sum(axis=1, keepdims=True) - total, slice(1, 2))
+            np.copyto(logf, lf, where=accept)
+        else:
+            accept = np.ones((chains, 1), dtype=bool)
+        n_acc += accept
+        np.copyto(state[:, 1:2], proposals[:, 1:2], where=accept)
+        a_agent = np.where(accept, aa_new, a_agent)
+        if next_keep < first + todo:
+            times = (first + todo - 1 - next_keep) // thin + 1
+            kept.append((p_agent, a_agent, times))
+            next_keep += times * thin
+
+        # The six step columns, each step accepted on its own.
         for col in range(6):
-            lo = col * n
-            if lo + 2 >= todo:
+            lo = 2 + col * n
+            if lo >= todo:
                 break
-            new = proposals[col]
+            new = proposals[:, lo : lo + n]
             if like_on:
-                rows = list(self.block)
-                rows[col] = new
-                lf, _ = self.score(p_agent, a_agent, rows)
-                d = (lf - self.logf) + corrs[col]
+                cols = block.copy()
+                cols[col] = new
+                lf = score(cols, p_agent, a_agent)
+                accept = mh((lf - logf) + corrs[:, lo : lo + n], slice(lo, lo + n))
             else:
-                d = corrs[col]
-            accept = u_acc[lo : lo + n] < np.exp(np.minimum(d, 0.0))
-            if todo - 2 - lo < n:
-                accept[todo - 2 - lo :] = False
-            n_acc += int(np.count_nonzero(accept))
-            self.block[col] = np.where(accept, new, self.block[col])
+                accept = mh(corrs[:, lo : lo + n], slice(lo, lo + n))
+            if todo - lo < n:
+                accept[:, todo - lo :] = False
+            step_acc += accept
+            np.copyto(block[col], new, where=accept)
             if like_on:
-                self.logf = np.where(accept, lf, self.logf)
-        return n_acc
+                np.copyto(logf, lf, where=accept)
 
-    def flip(self, p_agent, a_agent, u_accept) -> bool:
-        """Mirror the steps, exactly or, with a side coin at 0.5, by MH."""
-        flipped = self.block.copy()
-        flipped[_COL_SIDE] = 1.0 - flipped[_COL_SIDE]
-        flipped[_COL_ZPOL] = -flipped[_COL_ZPOL]
+        if todo < length:
+            break
+        flips = u_draws[:, 3 * length : 3 * length + 1] < flip_q
+        if not flips.any():
+            continue
+        n_flips += flips
         # Without a side coin at 0.5 the flip is the exact mirror image and
         # keeps every step factor bitwise; without the likelihood every
-        # factor is 0. Either way it is accepted.
-        if np.any(self.block[_COL_SIDE] == 0.5) and not self.config.disable_likelihood:
-            lf, new_total = self.score(-p_agent, a_agent, flipped)
-            d = new_total - self.total()
-            if not (d >= 0.0 or u_accept < math.exp(d)):
-                return False
-            self.logf = lf
-        self.block = flipped
-        return True
+        # factor is 0. Either way it is accepted. Otherwise the chain's
+        # flipped state is scored on its own and accepted by MH.
+        if like_on:
+            scored = flips & np.any(block[_COL_SIDE] == 0.5, axis=1, keepdims=True)
+            for c in np.flatnonzero(scored):
+                mirror = state[c, 2:].reshape(6, n).copy()
+                mirror[_COL_SIDE] = 1.0 - mirror[_COL_SIDE]
+                mirror[_COL_ZPOL] = -mirror[_COL_ZPOL]
+                pipe = judge_steps(mirror, -p_agent[c, 0], a_agent[c, 0], env_arrays, params)
+                d = float(pipe.log_factors.sum()) - float(logf[c].sum())
+                if d >= 0.0 or u_draws[c, 3 * length + 1] < math.exp(d):
+                    logf[c] = pipe.log_factors
+                else:
+                    flips[c] = False
+        for site, mirrored in (
+            (z_agent, -z_agent),
+            (block[_COL_SIDE], 1.0 - block[_COL_SIDE]),
+            (block[_COL_ZPOL], -block[_COL_ZPOL]),
+        ):
+            np.copyto(site, mirrored, where=flips)
+        p_agent = np.where(flips, -p_agent, p_agent)
+
+    finals = np.empty_like(state)
+    finals[:, order] = state
+    log_weights = logf.sum(axis=1) if like_on else np.zeros(chains)
+    n_acc += step_acc.sum(axis=1, keepdims=True)
+    times = [t for _, _, t in kept]
+    kept_p = np.repeat(np.concatenate([p for p, _, _ in kept], axis=1), times, axis=1)
+    kept_a = np.repeat(np.concatenate([a for _, a, _ in kept], axis=1), times, axis=1)
+    return [
+        (
+            np.column_stack((kept_p[c], kept_a[c])),
+            int(n_acc[c, 0]),
+            int(n_flips[c, 0]),
+            finals[c],
+            float(log_weights[c]),
+        )
+        for c in range(chains)
+    ]
 
 
 class _FloatSteps:
@@ -425,7 +548,7 @@ class _FloatSteps:
     A step proposal rescores its own step; an agent proposal rescores every
     step from the cached news. The arithmetic is ``judge_steps``'s, in the
     same order, and log factors are summed in NumPy's pairwise order
-    (``_pairwise_sum``), so every decision is the one ``_ArraySteps`` makes,
+    (``_pairwise_sum``), so every decision is the one ``_scan_batch`` makes,
     except at ties in the last bit: ``**`` and ``math.exp`` may round apart
     from a SIMD build's vectorised power and exp.
     """
@@ -541,8 +664,8 @@ class _FloatSteps:
             self.x_news = pipe.x_news.tolist()
             self.logf = pipe.log_factors.tolist()
         else:
-            # As in _ArraySteps.flip the factors are kept; an exact mirror
-            # image negates every news politics.
+            # As in _scan_batch the factors are kept; an exact mirror image
+            # negates every news politics.
             self.p_news = [-p for p in self.p_news]
         self.vals = flipped
         return True
@@ -581,10 +704,6 @@ def _pairwise_sum(terms: list) -> float:
     return total
 
 
-def _run_chain_task(args: tuple) -> ChainResult:
-    return run_chain(*args)
-
-
 def queue_chains(
     pool: Executor,
     env: MediaEnvironment,
@@ -592,15 +711,21 @@ def queue_chains(
     n_obs: int,
     config: InferenceConfig,
 ) -> Iterator[ChainResult]:
-    """Submit every chain of one cell to ``pool`` now, in chunks.
+    """Submit every chain of one cell to ``pool`` now, as one contiguous
+    batch of ceil(n_chains / workers) chains per worker (``run_chains``).
 
     Returns the chains' results in chain order as they are read, which
-    waits for each one; pass it to ``sample_posterior`` as ``chains``. Cells
-    queued on one pool run in the order they were queued.
+    waits for each batch; pass it to ``sample_posterior`` as ``chains``.
+    Cells queued on one pool run in the order they were queued.
     """
-    tasks = [(env, params, n_obs, config, i) for i in range(config.n_chains)]
-    chunk = max(1, config.n_chains // (4 * config.workers))
-    return pool.map(_run_chain_task, tasks, chunksize=chunk)
+    size = -(-config.n_chains // config.workers)
+    batches = [
+        pool.submit(
+            run_chains, env, params, n_obs, config, range(lo, min(lo + size, config.n_chains))
+        )
+        for lo in range(0, config.n_chains, size)
+    ]
+    return (result for batch in batches for result in batch.result())
 
 
 def sample_posterior(
@@ -613,16 +738,17 @@ def sample_posterior(
     """All chains of one experiment cell, serial or in a process pool.
 
     ``chains`` takes the cell's results from ``queue_chains`` on a pool the
-    caller owns. Without it the chains run here, or on a pool opened for
-    this cell alone, with ``config.workers`` processes but no more than the
-    cell has chains. The result is identical for every ``workers`` value:
-    chain i depends only on ``(config.seed, i)`` and samples are
+    caller owns. Without it the chains run here as one batch
+    (``run_chains``), or on a pool opened for this cell alone, with
+    ``config.workers`` processes but no more than the cell has chains. The
+    result is identical for every ``workers`` value: chain i depends only on
+    ``(config.seed, i)``, whatever batch it runs in, and samples are
     concatenated in chain order.
     """
     if chains is not None:
         results = list(chains)
     elif config.workers == 1:
-        results = [run_chain(env, params, n_obs, config, i) for i in range(config.n_chains)]
+        results = run_chains(env, params, n_obs, config, range(config.n_chains))
     else:
         with ProcessPoolExecutor(max_workers=min(config.workers, config.n_chains)) as pool:
             results = list(queue_chains(pool, env, params, n_obs, config))

@@ -13,11 +13,12 @@ innovation, news contest draw, agent contest draw).
 
 ``judge_steps`` states the judgment math once, vectorized: it scores value
 columns for a given agent, and ``pipeline_from_values`` and the sampler's
-systematic scan both call it. (Below ``inference.SCAN_STEPS`` steps the scan
-is evaluated over plain floats, which restates the same arithmetic in the
-same order for one step at a time.) The independent statement the tests
-hold it to is ``benchmarks/refmodel.py``, which imports nothing from this
-package.
+systematic scan both call it; the scan passes (C, N) columns and (C, 1)
+agents to score C chains at once. (A batch whose chains x N falls below
+``inference.SCAN_STEPS`` runs each chain over plain floats, which restates
+the same arithmetic in the same order for one step at a time.) The
+independent statement the tests hold it to is ``benchmarks/refmodel.py``,
+which imports nothing from this package.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ def judge_steps(
     ``cols`` holds the six value columns in layout order, one entry per step
     in each (a (6, N) array or a sequence of six arrays); ``env_arrays`` is
     ``_env_arrays(env)``. Every output is computed elementwise, so a step's
-    entries depend only on its own column entries and the agent.
+    entries depend only on its own column entries and the agent. The agent
+    values may be arrays that broadcast against a column: (C, N) columns
+    with (C, 1) agents score C chains at once.
     """
     cums, mag, p_sd, t_mean, t_sd = env_arrays
     outlet = np.minimum(cums.searchsorted(cols[_COL_OUTLET], side="right"), len(cums) - 1)

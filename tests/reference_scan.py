@@ -4,8 +4,9 @@
 uses at every N, one site proposal per loop turn. It scores every proposal
 by `replay_values` on the whole flat value array and consumes the same
 draws in the same order, so the tests can require both evaluations of the
-scan, over plain floats and in NumPy columns, to make the same decisions:
-the same samples, final values and counters.
+scan, a chain alone over plain floats and chains in lock-step NumPy
+batches, to make the same decisions: the same samples, final values and
+counters.
 """
 
 from __future__ import annotations

@@ -4,13 +4,15 @@ the range the sampler's evaluation threshold must stay in.
 
 `benchmarks/traced.py` counts `trace.init_calls` and `trace.pipeline_calls` by
 replacing `inference.init_trace` and `inference.pipeline_from_values`, so
-`run_chain` must reach both through those module globals.
+`run_chain` and `run_chains` must reach both through those module globals,
+once per chain.
 """
 
 import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from polarsim import cli, inference, oracle, trace
 from polarsim.model import ME2, ModelParams
@@ -23,6 +25,7 @@ def test_benchmark_pinned_names_exist():
         (inference, "init_trace"),
         (inference, "pipeline_from_values"),
         (inference, "run_chain"),
+        (inference, "run_chains"),
         (trace, "address_count"),
         (trace, "normal_site_mask"),
         (trace, "replay_values"),
@@ -41,28 +44,48 @@ def test_benchmark_pinned_names_exist():
     assert cli._parse_environment("ME2") is ME2
 
 
-def test_run_chain_calls_init_and_pipeline_once_through_module_globals(monkeypatch):
-    calls = {"init_trace": 0, "pipeline_from_values": 0}
+@pytest.fixture
+def calls(monkeypatch) -> dict:
+    """Counts of the calls `inference` makes through its module globals
+    `init_trace` and `pipeline_from_values`."""
+    counts = {"init_trace": 0, "pipeline_from_values": 0}
 
     def counted(name):
         original = getattr(inference, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            counts[name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(inference, name, wrapper)
 
-    for name in calls:
+    for name in counts:
         counted(name)
-    config = inference.InferenceConfig(
-        n_chains=1, iterations=500, burn_in=100, seed=4, flip_prob=0.0
-    )
-    # One count per evaluation of the scan: plain floats and NumPy columns.
+    return counts
+
+
+CONFIG = inference.InferenceConfig(n_chains=1, iterations=500, burn_in=100, seed=4, flip_prob=0.0)
+
+
+def test_run_chain_calls_init_and_pipeline_once_through_module_globals(calls):
+    # One count per evaluation of the scan: plain floats and a lock-step
+    # batch of one.
     for n_obs in (10, inference.SCAN_STEPS):
         calls.update(dict.fromkeys(calls, 0))
-        inference.run_chain(ME2, PARAMS, n_obs, config, 0)
+        inference.run_chain(ME2, PARAMS, n_obs, CONFIG, 0)
         assert calls == {"init_trace": 1, "pipeline_from_values": 1}
+
+
+def test_run_chains_calls_init_and_pipeline_once_per_chain_through_module_globals(calls):
+    # Chains run one by one over plain floats, and in lock-step.
+    for n_obs, chains in ((10, 3), (10, 7)):
+        assert (chains * n_obs < inference.SCAN_STEPS) == (chains == 3)
+        calls.update(dict.fromkeys(calls, 0))
+        results = inference.run_chains(ME2, PARAMS, n_obs, CONFIG, range(chains))
+        assert [r.chain_seed for r in results] == [
+            inference.derive_chain_seed(CONFIG.seed, i) for i in range(chains)
+        ]
+        assert calls == {"init_trace": chains, "pipeline_from_values": chains}
 
 
 def test_oracle_imports_nothing_from_the_sampler():
@@ -77,6 +100,8 @@ def test_oracle_imports_nothing_from_the_sampler():
 
 
 def test_plain_float_scan_sums_within_pairwise_range():
-    # Below SCAN_STEPS the scan sums its N log factors with _pairwise_sum,
-    # which reproduces NumPy's sum for up to 128 terms only.
+    # A batch whose chains x N falls below SCAN_STEPS runs each chain over
+    # plain floats, so N is at most SCAN_STEPS - 1 there; the scan sums its
+    # N log factors with _pairwise_sum, which reproduces NumPy's sum for up
+    # to 128 terms only.
     assert inference.SCAN_STEPS - 1 <= 128

@@ -1,10 +1,12 @@
-"""Tests for the systematic-scan MH sampler, its two evaluations and its
-reference loop."""
+"""Tests for the systematic-scan MH sampler, its two evaluations (a chain
+alone over plain floats, and chains in lock-step batches) and its reference
+loop."""
 
 import itertools
 import math
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +27,9 @@ from polarsim.inference import (
     SampleSet,
     _pairwise_sum,
     derive_chain_seed,
+    queue_chains,
     run_chain,
+    run_chains,
     sample_posterior,
 )
 from polarsim.model import (
@@ -196,6 +200,16 @@ class TestRunChain:
         _, _, factors, _, _ = replay_values(r.final_values, n_obs, ME3, PARAMS)
         assert r.final_log_weight == pytest.approx(float(factors.sum()), abs=1e-9)
 
+    @pytest.mark.parametrize("n_obs", [1, 10, 100])
+    def test_batched_weights_match_replay(self, n_obs):
+        # Every chain of a lock-step batch carries its own log weight.
+        chains = SCAN_STEPS // n_obs + 1
+        assert chains * n_obs >= SCAN_STEPS
+        cfg = InferenceConfig(n_chains=chains, iterations=6_000, burn_in=100, seed=12)
+        for r in run_chains(ME3, PARAMS, n_obs, cfg, range(chains)):
+            _, _, factors, _, _ = replay_values(r.final_values, n_obs, ME3, PARAMS)
+            assert r.final_log_weight == pytest.approx(float(factors.sum()), abs=1e-9)
+
     def test_uniform_sites_stay_in_support(self):
         cfg = InferenceConfig(n_chains=1, iterations=5_000, burn_in=100, seed=13)
         r = run_chain(ME2, PARAMS, 4, cfg, 0)
@@ -226,9 +240,31 @@ def assert_same_chain(new: ChainResult, ref: ChainResult) -> None:
 
 def evaluated(monkeypatch, floats: bool, *args) -> ChainResult:
     """``run_chain(*args)`` with the scan evaluated over plain floats or in
-    NumPy columns, whatever N."""
+    lock-step NumPy as a batch of one, whatever N (below 129)."""
     monkeypatch.setattr(polarsim.inference, "SCAN_STEPS", 129 if floats else 0)
     return run_chain(*args)
+
+
+def fresh_halves(n_obs: int):
+    """A stand-in for ``np.random.default_rng`` whose generators set every
+    uniform prior value at a step site to 0.5 in each scan's draws."""
+    default_rng = np.random.default_rng
+    length = 6 * n_obs + 2
+
+    class Halves:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def random(self, size=None, out=None):
+            u = self.rng.random(size, out=out)
+            if u.size == 3 * length + 2:
+                u[length + 2 : 2 * length] = 0.5
+            return u
+
+        def standard_normal(self, size=None, out=None):
+            return self.rng.standard_normal(size, out=out)
+
+    return Halves
 
 
 def count_scored_flips(monkeypatch) -> list:
@@ -363,11 +399,12 @@ def assert_same_scan_chain(new: ChainResult, ref: ChainResult) -> None:
 class TestScanMatchesReferenceLoop:
     """At every N, run_chain makes the decisions of the per-proposal loop of
     tests/reference_scan.py, which scores every proposal by a full replay:
-    over plain floats below SCAN_STEPS and in NumPy columns from there up."""
+    over plain floats below SCAN_STEPS and as a lock-step batch of one from
+    there up."""
 
     @ENVIRONMENTS
     @pytest.mark.parametrize(
-        "n_obs", [0, 1, 7, 8, 15, 16, 17, 24, SCAN_STEPS - 1, SCAN_STEPS, 71, 72, 100]
+        "n_obs", [0, 1, 7, 8, 15, 16, 17, 24, 45, 46, SCAN_STEPS - 1, SCAN_STEPS, 71, 72, 100]
     )
     def test_equal_chains(self, env, params, n_obs):
         # 2,000 iterations end the last scan inside a step column from N = 7
@@ -393,7 +430,7 @@ class TestScanMatchesReferenceLoop:
         assert_same_scan_chain(run_chain(ME3, PARAMS, n_obs, cfg, 0), ref)
 
     @FOLD_COINS
-    @pytest.mark.parametrize("n_obs", [3, 15, 16, 40, SCAN_STEPS - 1, SCAN_STEPS, 72])
+    @pytest.mark.parametrize("n_obs", [3, 15, 16, 40, 45, 46, SCAN_STEPS - 1, SCAN_STEPS, 72])
     def test_planted_fold_coins_take_the_scored_flip(self, monkeypatch, coin, n_obs):
         monkeypatch.setattr(polarsim.inference, "init_trace", planted(coin))
         monkeypatch.setattr(reference_scan, "init_trace", planted(coin))
@@ -410,7 +447,7 @@ class TestScanMatchesReferenceLoop:
     def test_walks_onto_the_fold_take_the_scored_flip(self, monkeypatch, n_obs, prior_only):
         monkeypatch.setattr(polarsim.inference, "reflect_unit", sticky)
         monkeypatch.setattr(
-            polarsim.inference, "reflect_units", lambda u: np.array([sticky(v) for v in u])
+            polarsim.inference, "reflect_units", np.vectorize(sticky, otypes=[float])
         )
         monkeypatch.setattr(reference_scan, "reflect_unit", sticky)
         cfg = InferenceConfig(
@@ -465,13 +502,36 @@ class TestScanMatchesReferenceLoop:
             b.n_flips,
         )
 
+    @pytest.mark.parametrize("n_obs", [1, 10])
+    def test_worker_count_does_not_change_samples_in_uneven_batches(self, n_obs):
+        # Seven chains make batches of 7, of 4 and 3, and of 3, 3 and 1; at
+        # N = 10 the batch of 7 runs in lock-step and the others do not.
+        base = InferenceConfig(n_chains=7, iterations=600, burn_in=100, seed=4)
+        manual = [run_chain(ME2, PARAMS, n_obs, base, i) for i in range(7)]
+        for workers in (1, 2, 3):
+            config = replace(base, workers=workers)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                queued = queue_chains(pool, ME2, PARAMS, n_obs, config)
+                runs = [
+                    sample_posterior(ME2, PARAMS, n_obs, config),
+                    sample_posterior(ME2, PARAMS, n_obs, config, chains=queued),
+                ]
+            for run in runs:
+                assert run.samples.tobytes() == np.vstack([r.samples for r in manual]).tobytes()
+                assert (run.n_proposals, run.n_accepted, run.n_flips) == (
+                    sum(r.n_proposals for r in manual),
+                    sum(r.n_accepted for r in manual),
+                    sum(r.n_flips for r in manual),
+                )
+
 
 class TestEvaluatorsAgree:
-    """Over plain floats and in NumPy columns, the scan gives the same chain
-    bit for bit: samples, final values, counters and final log weight."""
+    """A chain alone over plain floats and the same chain as a lock-step
+    batch of one are the same bit for bit: samples, final values, counters
+    and final log weight. (TestBatchInvariance runs larger batches.)"""
 
     @ENVIRONMENTS
-    @pytest.mark.parametrize("n_obs", [0, 1, 7, 8, 16, 47, SCAN_STEPS - 1, SCAN_STEPS])
+    @pytest.mark.parametrize("n_obs", [0, 1, 7, 8, 16, 45, 46, 47, SCAN_STEPS - 1, SCAN_STEPS])
     def test_bitwise_equal_chains(self, monkeypatch, env, params, n_obs):
         for k, (flip_prob, prior_prob, prior_only) in enumerate(KERNELS):
             cfg = InferenceConfig(
@@ -503,7 +563,7 @@ class TestEvaluatorsAgree:
             )
 
     @FOLD_COINS
-    @pytest.mark.parametrize("n_obs", [3, 15, 16, 40, SCAN_STEPS - 1, SCAN_STEPS])
+    @pytest.mark.parametrize("n_obs", [3, 15, 16, 40, 45, 46, SCAN_STEPS - 1, SCAN_STEPS])
     def test_planted_fold_coins(self, monkeypatch, coin, n_obs):
         monkeypatch.setattr(polarsim.inference, "init_trace", planted(coin))
         calls = count_scored_flips(monkeypatch)
@@ -520,17 +580,7 @@ class TestEvaluatorsAgree:
     def test_prior_draws_onto_the_fold(self, monkeypatch, n_obs):
         # Every uniform prior draw at a step site is 0.5, so side coins
         # land on the fold through the prior branch alone.
-        def halves(columns):
-            def patched(self, p_agent, a_agent, u, z, todo):
-                length = len(z)
-                u = u.copy()
-                u[length + 2 : 2 * length] = [0.5] * (length - 2)
-                return columns(self, p_agent, a_agent, u, z, todo)
-
-            return patched
-
-        for steps in (polarsim.inference._FloatSteps, polarsim.inference._ArraySteps):
-            monkeypatch.setattr(steps, "columns", halves(steps.columns))
+        monkeypatch.setattr(np.random, "default_rng", fresh_halves(n_obs))
         calls = count_scored_flips(monkeypatch)
         cfg = InferenceConfig(
             n_chains=1, iterations=3000, burn_in=100, seed=9, prior_prob=1.0, flip_prob=0.3
@@ -540,6 +590,91 @@ class TestEvaluatorsAgree:
         assert_same_chain(floats, evaluated(monkeypatch, False, ME2, PARAMS, n_obs, cfg, 0))
         _, _, factors, _, _ = replay_values(floats.final_values, n_obs, ME2, PARAMS)
         assert floats.final_log_weight == pytest.approx(float(factors.sum()), abs=1e-9)
+
+
+def batches(indices: list) -> list:
+    """The chains as one batch, in reverse, and in two strided subsets."""
+    return [indices, indices[::-1], indices[::2], indices[1::3]]
+
+
+def assert_batches_match_alone(env, params, n_obs, config) -> dict:
+    """Each chain of every batch of ``batches`` equals ``run_chain`` alone,
+    bit for bit; returns the chains alone by index."""
+    indices = list(range(config.n_chains))
+    alone = {i: run_chain(env, params, n_obs, config, i) for i in indices}
+    for batch in batches(indices):
+        for i, result in zip(batch, run_chains(env, params, n_obs, config, batch)):
+            assert result.chain_seed == alone[i].chain_seed
+            assert_same_chain(result, alone[i])
+    return alone
+
+
+def lock_step_chains(n_obs: int) -> int:
+    """Enough chains for the whole batch to run in lock-step at ``n_obs``
+    (at N = 0 no batch does)."""
+    return SCAN_STEPS // n_obs + 2 if n_obs else 4
+
+
+class TestBatchInvariance:
+    """Chain i of ``run_chains`` is ``run_chain`` alone, bit for bit, in a
+    batch of any size, order or subset. The whole batch runs in lock-step;
+    a chain alone runs over plain floats below SCAN_STEPS and as a batch of
+    one from there up, and so do the smaller subsets."""
+
+    @ENVIRONMENTS
+    @pytest.mark.parametrize("n_obs", [0, 1, 10, SCAN_STEPS - 1, SCAN_STEPS, 100])
+    def test_each_chain_is_the_chain_alone(self, env, params, n_obs):
+        # The budget ends in the third step column, halfway through it from
+        # N = 2 up.
+        length = 6 * n_obs + 2
+        iterations = max(2, 200 // length) * length + 2 + 2 * n_obs + n_obs // 2
+        for k, (flip_prob, prior_prob, prior_only) in enumerate(KERNELS):
+            cfg = InferenceConfig(
+                n_chains=lock_step_chains(n_obs),
+                iterations=iterations,
+                burn_in=length,
+                thin=3,
+                seed=100 * n_obs + k,
+                flip_prob=flip_prob,
+                prior_prob=prior_prob,
+                disable_likelihood=prior_only,
+            )
+            assert_batches_match_alone(env, params, n_obs, cfg)
+
+    @pytest.mark.parametrize("n_obs", [1, 7])
+    def test_budgets_ending_anywhere_in_a_scan(self, n_obs):
+        length = 6 * n_obs + 2
+        for iterations in range(3 * length, 4 * length + 1):
+            cfg = InferenceConfig(
+                n_chains=lock_step_chains(n_obs), iterations=iterations, burn_in=length,
+                seed=iterations, flip_prob=0.3,
+            )
+            assert_batches_match_alone(HARSH, HARSH_PARAMS, n_obs, cfg)
+
+    @FOLD_COINS
+    @pytest.mark.parametrize("n_obs", [3, 16, SCAN_STEPS])
+    def test_planted_fold_coins_score_the_flip_of_some_chains(self, monkeypatch, coin, n_obs):
+        # Over plain floats a chain alone calls judge_steps only for its
+        # scored flips; in some batch some chains make one and some do not.
+        monkeypatch.setattr(polarsim.inference, "init_trace", planted(coin))
+        calls = count_scored_flips(monkeypatch)
+        mixed = 0
+        for seed in range(4):
+            cfg = InferenceConfig(
+                n_chains=max(8, lock_step_chains(n_obs)), iterations=2000, burn_in=100,
+                seed=seed, flip_prob=0.5,
+            )
+            floats, scored = [], []
+            for i in range(cfg.n_chains):
+                calls.clear()
+                floats.append(evaluated(monkeypatch, True, ME2, PARAMS, n_obs, cfg, i))
+                scored.append(len(calls))
+            monkeypatch.setattr(polarsim.inference, "SCAN_STEPS", SCAN_STEPS)
+            alone = assert_batches_match_alone(ME2, PARAMS, n_obs, cfg)
+            for i, result in enumerate(floats):
+                assert_same_chain(result, alone[i])
+            mixed += 0 < sum(count > 0 for count in scored) < cfg.n_chains
+        assert mixed > 0
 
 
 class TestPriorRecovery:
