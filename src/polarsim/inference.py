@@ -6,15 +6,11 @@ mirror flip that exchanges the two politics modes. Given the agent the
 steps are conditionally independent, so each step of a column is accepted
 on its own.
 
-``run_chains`` runs a batch of chains. How a batch is evaluated depends on
-its size, not what it decides. When chains x N falls below ``SCAN_STEPS``
-each chain runs alone over plain floats, scored one proposal at a time
-(``_FloatSteps``); from there up the batch runs in lock-step, its steps a
-(6, chains, N) array with one NumPy pass per site for the whole batch
-(``_scan_batch``). Every chain keeps its own generator and takes the same
-draws either way, so it is the same chain bit for bit in any batch: a
-chain's trajectory is a pure function of its seed, and its memory does not
-grow with its length.
+``run_chains`` runs a batch of chains in lock-step, one NumPy pass per
+site for the whole batch. Every chain keeps its own generator and takes
+the same draws in any batch, so it is the same chain bit for bit whatever
+batch it runs in: a chain's trajectory is a pure function of its seed, and
+its memory does not grow with its length.
 
 Chain seeds are derived from the experiment seed with a splitmix64 mix, and
 samples are concatenated in chain order, so results are identical whether
@@ -26,7 +22,6 @@ serve many cells.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,17 +32,13 @@ import numpy as np
 from polarsim.model import MediaEnvironment, ModelParams, _require_finite
 from polarsim.trace import (
     _COL_SIDE,
-    _COL_XA,
     _COL_ZPOL,
-    _COL_ZTRUTH,
-    _HALF_LOG_2PI,
     _env_arrays,
     address_count,
     init_trace,
     judge_steps,
     normal_site_mask,
     pipeline_from_values,
-    reflect_unit,
     reflect_units,
 )
 
@@ -64,14 +55,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-
-# A batch whose chains x N reaches this runs in lock-step in NumPy; below
-# it each chain runs alone over plain floats. It only sets the speed: both
-# give the same chains. See README "Sampler kernels" for the timings it is
-# set from. At most 129: a chain alone has fewer observations than this,
-# and the plain-float path sums its log factors with `_pairwise_sum`, which
-# reproduces NumPy's sum up to 128 terms.
-SCAN_STEPS = 52
 
 
 def derive_chain_seed(seed: int, chain_index: int) -> int:
@@ -203,24 +186,17 @@ def run_chains(
     """The chains of ``indices``, each over a fresh prior-drawn value array.
 
     Each chain draws its start (``init_trace``) from its own generator, and
-    the start is scored by one ``pipeline_from_values`` pass. Below
-    ``SCAN_STEPS`` chains x N the chains then run one by one over plain
-    floats (``_scan_chain``), from there up together (``_scan_batch``).
-    Either way chain i is the same, whatever batch it is run in. Memory is
-    O(chains x (n_obs + kept samples)), not O(iterations). The incremental
-    log weight is cross-checked against a full replay in the test suite.
+    the start is scored by one ``pipeline_from_values`` pass. The chains
+    then run in lock-step (``_scan_batch``), and chain i is the same
+    whatever batch it is run in. Memory is O(chains x (n_obs + kept
+    samples)), not O(iterations). The incremental log weight is
+    cross-checked against a full replay in the test suite.
     """
     seeds = [derive_chain_seed(config.seed, i) for i in indices]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     values = [init_trace(n_obs, rng) for rng in rngs]
     starts = [pipeline_from_values(v, n_obs, env, params) for v in values]
-    if len(seeds) * n_obs < SCAN_STEPS:
-        runs = [
-            _scan_chain(v, start, rng, env, params, n_obs, config)
-            for v, start, rng in zip(values, starts, rngs)
-        ]
-    else:
-        runs = _scan_batch(values, starts, rngs, env, params, n_obs, config)
+    runs = _scan_batch(values, starts, rngs, env, params, n_obs, config)
     return [
         ChainResult(
             samples=samples,
@@ -235,126 +211,6 @@ def run_chains(
     ]
 
 
-def _scan_chain(
-    values: np.ndarray,
-    start: tuple,
-    rng: np.random.Generator,
-    env: MediaEnvironment,
-    params: ModelParams,
-    n_obs: int,
-    config: InferenceConfig,
-) -> tuple:
-    """The systematic-scan kernel, for one chain over plain floats.
-
-    One scan proposes at every site once, as 6N + 2 iterations: agent
-    politics, agent analytic (each rescoring all N steps), then each of the
-    six step columns in layout order, each step accepted on its own. A site
-    proposal is a prior resample with probability ``prior_prob``, else a
-    walk of ``walk_scale`` (reflected into [0, 1] at a uniform site, with the
-    Gaussian prior correction at a normal one). The last scan stops
-    mid-column when the iterations run out; a kept sample is the agent state
-    after its iteration.
-
-    After each full scan a mirror flip is made with probability
-    (1 - (1 - 2 flip_prob)^(6N + 2)) / 2. It preserves every step factor
-    unless a side coin is exactly 0.5; then the flipped state is scored and
-    accepted by MH. ``flips`` counts the flips made.
-
-    Each scan draws from ``rng`` 3 (6N + 2) + 2 uniforms in one call: the
-    prior-or-walk coins, the uniform prior values and the accept draws, one
-    per iteration each, then the flip coin and its accept draw. Then 6N + 2
-    standard normals, for the normal prior values and walk steps.
-
-    The agent sites, the keep rule and the flip coin are run here; the step
-    state, its scores and the flip itself are held by ``_FloatSteps``.
-    ``_scan_batch`` runs the same kernel over many chains at once. Returns
-    ``(samples, accepted, flips, final values, final log weight)``.
-    """
-    like_on = not config.disable_likelihood
-    steps = _FloatSteps(values[2:], start[2], n_obs, env, params, config)
-    length = address_count(n_obs)
-    z_agent = float(values[0])
-    u_agent = float(values[1])
-    p_agent, a_agent, _ = start
-
-    p_scale = params.prior_politics_sd
-    a_low = params.analytic_low
-    a_span = params.analytic_high - params.analytic_low
-    prior_p = config.prior_prob
-    w_scale = config.walk_scale
-    flip_q = 0.5 * (1.0 - (1.0 - 2.0 * config.flip_prob) ** length)
-    iterations = config.iterations
-    burn = config.burn_in
-    thin = config.thin
-    exp = math.exp
-
-    kept_p, kept_a = [], []
-    next_keep = burn + thin - 1
-    n_acc = 0
-    n_flips = 0
-    for first in range(0, iterations, length):
-        todo = min(length, iterations - first)
-        u = rng.random(3 * length + 2).tolist()
-        z = rng.standard_normal(length).tolist()
-
-        # Agent politics.
-        total = steps.total() if like_on else 0.0
-        if u[0] < prior_p:
-            new, corr = z[0], 0.0
-        else:
-            new = z_agent + w_scale * z[0]
-            corr = 0.5 * (z_agent * z_agent - new * new)
-        pa_new = p_scale * new
-        if like_on:
-            lf, new_total = steps.score(pa_new, a_agent)
-            d = (new_total - total) + corr
-        else:
-            d = corr
-        if d >= 0.0 or u[2 * length] < exp(d):
-            n_acc += 1
-            z_agent, p_agent = new, pa_new
-            if like_on:
-                steps.logf, total = lf, new_total
-        if next_keep == first:
-            kept_p.append(p_agent)
-            kept_a.append(a_agent)
-            next_keep += thin
-        if todo == 1:
-            break  # The budget ends at agent politics.
-
-        # Agent analytic; its state holds through the step columns.
-        new = u[length + 1] if u[1] < prior_p else reflect_unit(u_agent + w_scale * z[1])
-        aa_new = a_low + a_span * new
-        if like_on:
-            lf, new_total = steps.score(p_agent, aa_new)
-            d = new_total - total
-        else:
-            d = 0.0
-        if d >= 0.0 or u[2 * length + 1] < exp(d):
-            n_acc += 1
-            u_agent, a_agent = new, aa_new
-            if like_on:
-                steps.logf = lf
-        while next_keep < first + todo:
-            kept_p.append(p_agent)
-            kept_a.append(a_agent)
-            next_keep += thin
-
-        n_acc += steps.columns(p_agent, a_agent, u, z, todo)
-
-        if todo == length and u[3 * length] < flip_q:
-            n_flips += 1
-            if steps.flip(p_agent, a_agent, u[3 * length + 1]):
-                z_agent, p_agent = -z_agent, -p_agent
-
-    final = np.empty(length)
-    final[0] = z_agent
-    final[1] = u_agent
-    final[2:] = steps.values()
-    log_weight = steps.total() if like_on else 0.0
-    return np.column_stack((kept_p, kept_a)), n_acc, n_flips, final, log_weight
-
-
 def _scan_batch(
     values: list,
     starts: list,
@@ -364,7 +220,30 @@ def _scan_batch(
     n_obs: int,
     config: InferenceConfig,
 ) -> list:
-    """The systematic-scan kernel of ``_scan_chain``, over C chains at once.
+    """The systematic-scan kernel, over C chains at once.
+
+    One scan proposes at every site once, as 6N + 2 iterations: agent
+    politics, agent analytic (each rescoring all N steps), then each of the
+    six step columns in layout order, each step accepted on its own. A site
+    proposal is a prior resample with probability ``prior_prob``, else a
+    walk of ``walk_scale`` (reflected into [0, 1] at a uniform site, with the
+    Gaussian prior correction at a normal one). The last scan stops
+    mid-column when the iterations run out; a kept sample is the agent state
+    after its iteration, and the keep rule reads only the iteration, so all
+    chains keep at the same iterations.
+
+    After each full scan a chain makes a mirror flip with probability
+    (1 - (1 - 2 flip_prob)^(6N + 2)) / 2. It preserves every step factor
+    unless a side coin is exactly 0.5; then that chain's flipped state is
+    scored on its own and accepted by MH.
+
+    Each scan, every chain draws from its own generator 3 (6N + 2) + 2
+    uniforms in one call, into its row of a (C, 3 (6N + 2) + 2) buffer: the
+    prior-or-walk coins, the uniform prior values and the accept draws, one
+    per iteration each, then the flip coin and its accept draw. Then 6N + 2
+    standard normals into its row of a (C, 6N + 2) buffer, for the normal
+    prior values and walk steps. So a chain's draws, and its decisions, do
+    not depend on the batch it is in.
 
     Each chain's values are a row of a (C, 6N + 2) array in scan order (the
     agent sites, then the steps column by column), so a row lines up with
@@ -372,15 +251,10 @@ def _scan_batch(
     factors, and the agent parameters are (C, 1) columns that broadcast
     against them. Every site is one NumPy pass over the batch: one
     ``judge_steps`` call scores an agent proposal or a step column of every
-    chain. Each chain still takes its scan's draws from its own generator,
-    into its rows of the (C, 3 (6N + 2) + 2) and (C, 6N + 2) draw buffers,
-    and the same arithmetic decides each of its proposals, so every chain
-    is the one ``_scan_chain`` runs. The keep rule reads only the iteration,
-    so all chains keep at the same iterations. A flipping chain with a side
-    coin at exactly 0.5 is scored on its own. Returns one ``_scan_chain``
-    tuple per chain.
+    chain. With no observations there is nothing to score. Returns, per
+    chain, ``(samples, accepted, flips, final values, final log weight)``.
     """
-    like_on = not config.disable_likelihood
+    like_on = not config.disable_likelihood and n_obs > 0
     chains, n, length = len(rngs), n_obs, address_count(n_obs)
     env_arrays = _env_arrays(env)
     # The layout index of each site, in scan order.
@@ -538,170 +412,6 @@ def _scan_batch(
         )
         for c in range(chains)
     ]
-
-
-class _FloatSteps:
-    """The steps of a scan chain as plain floats: the 6N step values in
-    layout order, and per step the news politics, news contest draw and log
-    factor, as ``judge_steps`` gives them (kept only with the likelihood on).
-
-    A step proposal rescores its own step; an agent proposal rescores every
-    step from the cached news. The arithmetic is ``judge_steps``'s, in the
-    same order, and log factors are summed in NumPy's pairwise order
-    (``_pairwise_sum``), so every decision is the one ``_scan_batch`` makes,
-    except at ties in the last bit: ``**`` and ``math.exp`` may round apart
-    from a SIMD build's vectorised power and exp.
-    """
-
-    def __init__(self, values, pipe, n_obs, env, params, config):
-        self.n = n_obs
-        self.vals = values.tolist()
-        self.p_news = pipe.p_news.tolist()
-        self.x_news = pipe.x_news.tolist()
-        self.logf = pipe.log_factors.tolist() if not config.disable_likelihood else [0.0] * n_obs
-        self.env_arrays = _env_arrays(env)
-        self.params = params
-        self.config = config
-        # Scan order of the step sites: scan position, value index, step,
-        # the step's first value index, and whether it is a normal site.
-        self.order = [
-            (2 + col * n_obs + s, 6 * s + col, s, 6 * s, col in (_COL_ZPOL, _COL_ZTRUTH))
-            for col in range(6)
-            for s in range(n_obs)
-        ]
-        self.outlets = [a.tolist() for a in self.env_arrays]
-        self.judge = (
-            params.discount_scale,
-            params.discount_base,
-            params.likelihood_sd,
-            math.log(params.likelihood_sd),
-        )
-
-    def total(self) -> float:
-        return _pairwise_sum(self.logf)
-
-    def values(self) -> list:
-        return self.vals
-
-    def score(self, p_agent, a_agent) -> tuple:
-        """Log factors of every step for this agent, and their sum."""
-        ds, db, sd, log_sd = self.judge
-        lf = []
-        for p_n, x_n, u_xa in zip(self.p_news, self.x_news, self.vals[_COL_XA::6]):
-            # The bound may differ from NumPy's vectorised power in the last
-            # bit, but it only enters a comparison.
-            b_a = a_agent - ds * db ** abs(p_n - p_agent)
-            p_j = p_n if x_n > u_xa * (b_a if b_a > 0.0 else 0.0) else -p_n
-            zz = (p_j - p_agent) / sd
-            lf.append(-0.5 * zz * zz - log_sd - _HALF_LOG_2PI)
-        return lf, _pairwise_sum(lf)
-
-    def columns(self, p_agent, a_agent, u, z, todo) -> int:
-        """Propose at the step sites one at a time; the accept count."""
-        vals, p_news, x_news, logf = self.vals, self.p_news, self.x_news, self.logf
-        cums, mag, p_sd, t_mean, t_sd = self.outlets
-        ds, db, sd, log_sd = self.judge
-        prior_p, w_scale = self.config.prior_prob, self.config.walk_scale
-        like_on = not self.config.disable_likelihood
-        length = len(z)
-        fresh = u[length:]
-        accept = u[2 * length :]
-        outlets = len(cums)
-        exp = math.exp
-        n_acc = 0
-        for pos, j, s, base, normal in self.order[: max(0, todo - 2)]:
-            old = vals[j]
-            corr = 0.0
-            if u[pos] < prior_p:
-                new = z[pos] if normal else fresh[pos]
-            elif normal:
-                new = old + w_scale * z[pos]
-                corr = 0.5 * (old * old - new * new)
-            else:
-                new = reflect_unit(old + w_scale * z[pos])
-            if not like_on:
-                if corr >= 0.0 or accept[pos] < exp(corr):
-                    n_acc += 1
-                    vals[j] = new
-                continue
-            # judge_steps for one step, over plain floats.
-            vals[j] = new
-            u_o, coin, z_pol, z_truth, u_xn, u_xa = vals[base : base + 6]
-            o = bisect_right(cums, u_o)
-            if o == outlets:
-                o -= 1
-            m = mag[o]
-            p_n = (m if coin < 0.5 else -m) + p_sd[o] * z_pol
-            t_n = t_mean[o] + t_sd[o] * z_truth
-            x_n = u_xn * (t_n if t_n > 0.0 else 0.0)
-            b_a = a_agent - ds * db ** abs(p_n - p_agent)
-            p_j = p_n if x_n > u_xa * (b_a if b_a > 0.0 else 0.0) else -p_n
-            zz = (p_j - p_agent) / sd
-            f = -0.5 * zz * zz - log_sd - _HALF_LOG_2PI
-            d = (f - logf[s]) + corr
-            if d >= 0.0 or accept[pos] < exp(d):
-                n_acc += 1
-                logf[s] = f
-                p_news[s] = p_n
-                x_news[s] = x_n
-            else:
-                vals[j] = old
-        return n_acc
-
-    def flip(self, p_agent, a_agent, u_accept) -> bool:
-        """Mirror the steps, exactly or, with a side coin at 0.5, by MH."""
-        sides = self.vals[_COL_SIDE::6]
-        flipped = self.vals.copy()
-        flipped[_COL_SIDE::6] = [1.0 - v for v in sides]
-        flipped[_COL_ZPOL::6] = [-v for v in flipped[_COL_ZPOL::6]]
-        if 0.5 in sides and not self.config.disable_likelihood:
-            cols = np.array(flipped).reshape(self.n, 6).T
-            pipe = judge_steps(cols, -p_agent, a_agent, self.env_arrays, self.params)
-            d = float(pipe.log_factors.sum()) - self.total()
-            if not (d >= 0.0 or u_accept < math.exp(d)):
-                return False
-            self.p_news = pipe.p_news.tolist()
-            self.x_news = pipe.x_news.tolist()
-            self.logf = pipe.log_factors.tolist()
-        else:
-            # As in _scan_batch the factors are kept; an exact mirror image
-            # negates every news politics.
-            self.p_news = [-p for p in self.p_news]
-        self.vals = flipped
-        return True
-
-
-def _pairwise_sum(terms: list) -> float:
-    """The sum NumPy's ``add.reduce`` returns for up to 128 float64 terms.
-
-    Fewer than 8 terms are added in order. From 8 up, eight running sums
-    take every eighth term, are combined as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, and the terms
-    past the last full group of eight are added in order. NumPy splits
-    longer arrays in halves, which this does not do.
-    """
-    n = len(terms)
-    total = 0.0
-    if n < 8:
-        for t in terms:
-            total += t
-        return total
-    r0, r1, r2, r3, r4, r5, r6, r7 = terms[:8]
-    end = n - n % 8
-    for i in range(8, end, 8):
-        r0 += terms[i]
-        r1 += terms[i + 1]
-        r2 += terms[i + 2]
-        r3 += terms[i + 3]
-        r4 += terms[i + 4]
-        r5 += terms[i + 5]
-        r6 += terms[i + 6]
-        r7 += terms[i + 7]
-    # Adding to 0.0 first turns an all-negative-zero sum into 0.0, as NumPy's.
-    total += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for t in terms[end:]:
-        total += t
-    return total
 
 
 def queue_chains(

@@ -14,11 +14,9 @@ innovation, news contest draw, agent contest draw).
 ``judge_steps`` states the judgment math once, vectorized: it scores value
 columns for a given agent, and ``pipeline_from_values`` and the sampler's
 systematic scan both call it; the scan passes (C, N) columns and (C, 1)
-agents to score C chains at once. (A batch whose chains x N falls below
-``inference.SCAN_STEPS`` runs each chain over plain floats, which restates
-the same arithmetic in the same order for one step at a time.) The
-independent statement the tests hold it to is ``benchmarks/refmodel.py``,
-which imports nothing from this package.
+agents to score C chains at once. The independent statement the tests
+hold it to is ``benchmarks/refmodel.py``, which imports nothing from this
+package.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """A plain per-proposal statement of the systematic-scan kernel.
 
-`reference_scan_chain` runs the kernel that `polarsim.inference.run_chain`
-uses at every N, one site proposal per loop turn. It scores every proposal
-by `replay_values` on the whole flat value array and consumes the same
-draws in the same order, so the tests can require both evaluations of the
-scan, a chain alone over plain floats and chains in lock-step NumPy
-batches, to make the same decisions: the same samples, final values and
-counters.
+`reference_chain` runs the kernel that `polarsim.inference.run_chains`
+runs in lock-step NumPy batches, one chain and one site proposal per loop
+turn. It scores every proposal by `replay_values` on the whole flat value
+array and consumes the same draws in the same order, so the tests can
+require the sampler to make the same decisions: the same samples, final
+values and counters.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from polarsim.trace import (
 )
 
 
-def reference_scan_chain(
+def reference_chain(
     env: MediaEnvironment,
     params: ModelParams,
     n_obs: int,

@@ -1,6 +1,5 @@
 """The names and call shapes the benchmark harness (`benchmarks/`) looks up in
-the package, the independence of the quadrature route from the sampler, and
-the range the sampler's evaluation threshold must stay in.
+the package, and the independence of the quadrature route from the sampler.
 
 `benchmarks/traced.py` counts `trace.init_calls` and `trace.pipeline_calls` by
 replacing `inference.init_trace` and `inference.pipeline_from_values`, so
@@ -68,24 +67,17 @@ CONFIG = inference.InferenceConfig(n_chains=1, iterations=500, burn_in=100, seed
 
 
 def test_run_chain_calls_init_and_pipeline_once_through_module_globals(calls):
-    # One count per evaluation of the scan: plain floats and a lock-step
-    # batch of one.
-    for n_obs in (10, inference.SCAN_STEPS):
-        calls.update(dict.fromkeys(calls, 0))
-        inference.run_chain(ME2, PARAMS, n_obs, CONFIG, 0)
-        assert calls == {"init_trace": 1, "pipeline_from_values": 1}
+    inference.run_chain(ME2, PARAMS, 10, CONFIG, 0)
+    assert calls == {"init_trace": 1, "pipeline_from_values": 1}
 
 
 def test_run_chains_calls_init_and_pipeline_once_per_chain_through_module_globals(calls):
-    # Chains run one by one over plain floats, and in lock-step.
-    for n_obs, chains in ((10, 3), (10, 7)):
-        assert (chains * n_obs < inference.SCAN_STEPS) == (chains == 3)
-        calls.update(dict.fromkeys(calls, 0))
-        results = inference.run_chains(ME2, PARAMS, n_obs, CONFIG, range(chains))
-        assert [r.chain_seed for r in results] == [
-            inference.derive_chain_seed(CONFIG.seed, i) for i in range(chains)
-        ]
-        assert calls == {"init_trace": chains, "pipeline_from_values": chains}
+    chains = 7
+    results = inference.run_chains(ME2, PARAMS, 10, CONFIG, range(chains))
+    assert [r.chain_seed for r in results] == [
+        inference.derive_chain_seed(CONFIG.seed, i) for i in range(chains)
+    ]
+    assert calls == {"init_trace": chains, "pipeline_from_values": chains}
 
 
 def test_oracle_imports_nothing_from_the_sampler():
@@ -98,10 +90,3 @@ def test_oracle_imports_nothing_from_the_sampler():
             imported.update(alias.name for alias in node.names)
     assert {m for m in imported if m.startswith("polarsim")} == {"polarsim.model"}
 
-
-def test_plain_float_scan_sums_within_pairwise_range():
-    # A batch whose chains x N falls below SCAN_STEPS runs each chain over
-    # plain floats, so N is at most SCAN_STEPS - 1 there; the scan sums its
-    # N log factors with _pairwise_sum, which reproduces NumPy's sum for up
-    # to 128 terms only.
-    assert inference.SCAN_STEPS - 1 <= 128

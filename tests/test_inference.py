@@ -1,6 +1,5 @@
-"""Tests for the systematic-scan MH sampler, its two evaluations (a chain
-alone over plain floats, and chains in lock-step batches) and its reference
-loop."""
+"""Tests for the systematic-scan MH sampler, its lock-step batches and its
+reference loop."""
 
 import itertools
 import math
@@ -12,20 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import polarsim.inference
 import reference_scan
 from polarsim import oracle
 from polarsim.inference import (
-    SCAN_STEPS,
     ChainResult,
     InferenceConfig,
     SampleSet,
-    _pairwise_sum,
     derive_chain_seed,
     queue_chains,
     run_chain,
@@ -44,12 +40,11 @@ from polarsim.model import (
 )
 from polarsim.trace import (
     init_trace,
-    judge_steps,
     normal_site_mask,
     reflect_unit,
     replay_values,
 )
-from reference_scan import reference_scan_chain
+from reference_scan import reference_chain
 
 PARAMS = ModelParams()
 
@@ -203,8 +198,7 @@ class TestRunChain:
     @pytest.mark.parametrize("n_obs", [1, 10, 100])
     def test_batched_weights_match_replay(self, n_obs):
         # Every chain of a lock-step batch carries its own log weight.
-        chains = SCAN_STEPS // n_obs + 1
-        assert chains * n_obs >= SCAN_STEPS
+        chains = max(4, 60 // n_obs)
         cfg = InferenceConfig(n_chains=chains, iterations=6_000, burn_in=100, seed=12)
         for r in run_chains(ME3, PARAMS, n_obs, cfg, range(chains)):
             _, _, factors, _, _ = replay_values(r.final_values, n_obs, ME3, PARAMS)
@@ -238,16 +232,11 @@ def assert_same_chain(new: ChainResult, ref: ChainResult) -> None:
     )
 
 
-def evaluated(monkeypatch, floats: bool, *args) -> ChainResult:
-    """``run_chain(*args)`` with the scan evaluated over plain floats or in
-    lock-step NumPy as a batch of one, whatever N (below 129)."""
-    monkeypatch.setattr(polarsim.inference, "SCAN_STEPS", 129 if floats else 0)
-    return run_chain(*args)
-
-
 def fresh_halves(n_obs: int):
     """A stand-in for ``np.random.default_rng`` whose generators set every
-    uniform prior value at a step site to 0.5 in each scan's draws."""
+    uniform prior value at a step site to 0.5 in each scan's draws: in the
+    sampler's 3 (6N + 2) + 2 uniforms, and in the fresh row of the
+    reference loop's (3, 6N + 2) ones."""
     default_rng = np.random.default_rng
     length = 6 * n_obs + 2
 
@@ -259,53 +248,14 @@ def fresh_halves(n_obs: int):
             u = self.rng.random(size, out=out)
             if u.size == 3 * length + 2:
                 u[length + 2 : 2 * length] = 0.5
+            elif u.shape == (3, length):
+                u[1, 2:] = 0.5
             return u
 
         def standard_normal(self, size=None, out=None):
             return self.rng.standard_normal(size, out=out)
 
     return Halves
-
-
-def count_scored_flips(monkeypatch) -> list:
-    """Record each ``judge_steps`` call ``run_chain`` makes; over plain floats
-    it makes one for each scored mirror flip, and no other."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args[1])
-        return judge_steps(*args)
-
-    monkeypatch.setattr(polarsim.inference, "judge_steps", counted)
-    return calls
-
-
-# Signed zeros, subnormals, and magnitudes far apart enough that the
-# order of addition changes the rounded sum.
-SUMMANDS = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.floats(min_value=-1.0, max_value=1.0),
-    st.floats(min_value=-1e300, max_value=1e300),
-)
-
-
-# _pairwise_sum must match NumPy's sum for every term count the plain-float
-# scan may see: SCAN_STEPS may be raised as far as 129.
-PAIRWISE_COUNTS = range(129)
-
-
-class TestPairwiseSum:
-    @pytest.mark.parametrize("n", PAIRWISE_COUNTS)
-    @settings(max_examples=15, deadline=None)
-    @given(data=st.data())
-    def test_equals_numpy_reduce(self, n, data):
-        terms = data.draw(hnp.arrays(np.float64, n, elements=SUMMANDS))
-        assert _pairwise_sum(terms.tolist()).hex() == float(np.add.reduce(terms)).hex()
-
-    def test_negative_zeros_sum_to_positive_zero_like_numpy(self):
-        for n in PAIRWISE_COUNTS:
-            expected = np.add.reduce(np.full(n, -0.0))
-            assert _pairwise_sum([-0.0] * n).hex() == float(expected).hex()
 
 
 needs_procfs = pytest.mark.skipif(
@@ -346,7 +296,7 @@ class TestChainMemory:
     def test_does_not_grow_with_iterations(self, n_obs):
         # A million iterations of draws held at once would take tens of
         # MiB; a chain holds one scan's draws and stays near the
-        # interpreter's own footprint, under either evaluator.
+        # interpreter's own footprint.
         assert chain_peak_mib(n_obs) < 60
 
 
@@ -382,7 +332,7 @@ def planted(coin: float):
     return init
 
 
-def assert_same_scan_chain(new: ChainResult, ref: ChainResult) -> None:
+def assert_matches_reference(new: ChainResult, ref: ChainResult) -> None:
     """Equal samples, final state and counters; the final log weight, a sum
     taken in another order by the reference, to 1e-9."""
     assert new.samples.shape == ref.samples.shape
@@ -397,14 +347,13 @@ def assert_same_scan_chain(new: ChainResult, ref: ChainResult) -> None:
 
 
 class TestScanMatchesReferenceLoop:
-    """At every N, run_chain makes the decisions of the per-proposal loop of
-    tests/reference_scan.py, which scores every proposal by a full replay:
-    over plain floats below SCAN_STEPS and as a lock-step batch of one from
-    there up."""
+    """At every N, run_chain, a lock-step batch of one, makes the decisions
+    of the per-proposal loop of tests/reference_scan.py, which scores every
+    proposal by a full replay."""
 
     @ENVIRONMENTS
     @pytest.mark.parametrize(
-        "n_obs", [0, 1, 7, 8, 15, 16, 17, 24, 45, 46, SCAN_STEPS - 1, SCAN_STEPS, 71, 72, 100]
+        "n_obs", [0, 1, 7, 8, 15, 16, 17, 24, 45, 46, 51, 52, 71, 72, 100]
     )
     def test_equal_chains(self, env, params, n_obs):
         # 2,000 iterations end the last scan inside a step column from N = 7
@@ -420,32 +369,31 @@ class TestScanMatchesReferenceLoop:
                 prior_prob=prior_prob,
                 disable_likelihood=prior_only,
             )
-            ref, _ = reference_scan_chain(env, params, n_obs, cfg, 1)
-            assert_same_scan_chain(run_chain(env, params, n_obs, cfg, 1), ref)
+            ref, _ = reference_chain(env, params, n_obs, cfg, 1)
+            assert_matches_reference(run_chain(env, params, n_obs, cfg, 1), ref)
 
     @pytest.mark.parametrize("n_obs", [1, 16, 100])
     def test_equal_over_many_scans(self, n_obs):
         cfg = InferenceConfig(n_chains=1, iterations=16_387, burn_in=1000, thin=7, seed=5)
-        ref, _ = reference_scan_chain(ME3, PARAMS, n_obs, cfg, 0)
-        assert_same_scan_chain(run_chain(ME3, PARAMS, n_obs, cfg, 0), ref)
+        ref, _ = reference_chain(ME3, PARAMS, n_obs, cfg, 0)
+        assert_matches_reference(run_chain(ME3, PARAMS, n_obs, cfg, 0), ref)
 
     @FOLD_COINS
-    @pytest.mark.parametrize("n_obs", [3, 15, 16, 40, 45, 46, SCAN_STEPS - 1, SCAN_STEPS, 72])
+    @pytest.mark.parametrize("n_obs", [3, 15, 16, 40, 45, 46, 51, 52, 72])
     def test_planted_fold_coins_take_the_scored_flip(self, monkeypatch, coin, n_obs):
         monkeypatch.setattr(polarsim.inference, "init_trace", planted(coin))
         monkeypatch.setattr(reference_scan, "init_trace", planted(coin))
         scored = 0
         for kwargs in FOLD_CONFIGS:
             cfg = InferenceConfig(n_chains=1, iterations=2000, burn_in=100, **kwargs)
-            ref, count = reference_scan_chain(ME2, PARAMS, n_obs, cfg, 0)
-            assert_same_scan_chain(run_chain(ME2, PARAMS, n_obs, cfg, 0), ref)
+            ref, count = reference_chain(ME2, PARAMS, n_obs, cfg, 0)
+            assert_matches_reference(run_chain(ME2, PARAMS, n_obs, cfg, 0), ref)
             scored += count
         assert scored > 0
 
     @pytest.mark.parametrize("prior_only", [False, True])
     @pytest.mark.parametrize("n_obs", [5, 16, 40, 72])
     def test_walks_onto_the_fold_take_the_scored_flip(self, monkeypatch, n_obs, prior_only):
-        monkeypatch.setattr(polarsim.inference, "reflect_unit", sticky)
         monkeypatch.setattr(
             polarsim.inference, "reflect_units", np.vectorize(sticky, otypes=[float])
         )
@@ -454,9 +402,24 @@ class TestScanMatchesReferenceLoop:
             n_chains=1, iterations=4000, burn_in=100, seed=8, prior_prob=0.0,
             flip_prob=0.3, disable_likelihood=prior_only,
         )
-        ref, scored = reference_scan_chain(ME2, PARAMS, n_obs, cfg, 0)
+        ref, scored = reference_chain(ME2, PARAMS, n_obs, cfg, 0)
         assert scored > 0
-        assert_same_scan_chain(run_chain(ME2, PARAMS, n_obs, cfg, 0), ref)
+        assert_matches_reference(run_chain(ME2, PARAMS, n_obs, cfg, 0), ref)
+
+    @pytest.mark.parametrize("n_obs", [5, 40])
+    def test_prior_draws_onto_the_fold(self, monkeypatch, n_obs):
+        # Every uniform prior draw at a step site is 0.5, so side coins
+        # land on the fold through the prior branch alone.
+        monkeypatch.setattr(np.random, "default_rng", fresh_halves(n_obs))
+        cfg = InferenceConfig(
+            n_chains=1, iterations=3000, burn_in=100, seed=9, prior_prob=1.0, flip_prob=0.3
+        )
+        ref, scored = reference_chain(ME2, PARAMS, n_obs, cfg, 0)
+        assert scored > 0
+        chain = run_chain(ME2, PARAMS, n_obs, cfg, 0)
+        assert_matches_reference(chain, ref)
+        _, _, factors, _, _ = replay_values(chain.final_values, n_obs, ME2, PARAMS)
+        assert chain.final_log_weight == pytest.approx(float(factors.sum()), abs=1e-9)
 
     @pytest.mark.parametrize("prior_prob", [0.0, 0.7])
     @pytest.mark.parametrize("n_obs", [10, 72])
@@ -475,7 +438,7 @@ class TestScanMatchesReferenceLoop:
             disable_likelihood=True,
         )
         finals = np.array(
-            [run_chain(ME2, PARAMS, n_obs, cfg, i).final_values for i in range(128)]
+            [r.final_values for r in run_chains(ME2, PARAMS, n_obs, cfg, range(128))]
         )
         steps = finals[:, 2:].reshape(-1, 6)
         normal = stats.norm.cdf
@@ -504,8 +467,7 @@ class TestScanMatchesReferenceLoop:
 
     @pytest.mark.parametrize("n_obs", [1, 10])
     def test_worker_count_does_not_change_samples_in_uneven_batches(self, n_obs):
-        # Seven chains make batches of 7, of 4 and 3, and of 3, 3 and 1; at
-        # N = 10 the batch of 7 runs in lock-step and the others do not.
+        # Seven chains make batches of 7, of 4 and 3, and of 3, 3 and 1.
         base = InferenceConfig(n_chains=7, iterations=600, burn_in=100, seed=4)
         manual = [run_chain(ME2, PARAMS, n_obs, base, i) for i in range(7)]
         for workers in (1, 2, 3):
@@ -525,73 +487,6 @@ class TestScanMatchesReferenceLoop:
                 )
 
 
-class TestEvaluatorsAgree:
-    """A chain alone over plain floats and the same chain as a lock-step
-    batch of one are the same bit for bit: samples, final values, counters
-    and final log weight. (TestBatchInvariance runs larger batches.)"""
-
-    @ENVIRONMENTS
-    @pytest.mark.parametrize("n_obs", [0, 1, 7, 8, 16, 45, 46, 47, SCAN_STEPS - 1, SCAN_STEPS])
-    def test_bitwise_equal_chains(self, monkeypatch, env, params, n_obs):
-        for k, (flip_prob, prior_prob, prior_only) in enumerate(KERNELS):
-            cfg = InferenceConfig(
-                n_chains=1,
-                iterations=1000,
-                burn_in=200,
-                thin=3,
-                seed=100 * n_obs + k,
-                flip_prob=flip_prob,
-                prior_prob=prior_prob,
-                disable_likelihood=prior_only,
-            )
-            args = (env, params, n_obs, cfg, 1)
-            assert_same_chain(
-                evaluated(monkeypatch, True, *args), evaluated(monkeypatch, False, *args)
-            )
-
-    @pytest.mark.parametrize("n_obs", [1, 7])
-    def test_budgets_ending_anywhere_in_a_scan(self, monkeypatch, n_obs):
-        length = 6 * n_obs + 2
-        for iterations in range(3 * length, 4 * length + 1):
-            cfg = InferenceConfig(
-                n_chains=1, iterations=iterations, burn_in=length, seed=iterations,
-                flip_prob=0.3,
-            )
-            args = (HARSH, HARSH_PARAMS, n_obs, cfg, 0)
-            assert_same_chain(
-                evaluated(monkeypatch, True, *args), evaluated(monkeypatch, False, *args)
-            )
-
-    @FOLD_COINS
-    @pytest.mark.parametrize("n_obs", [3, 15, 16, 40, 45, 46, SCAN_STEPS - 1, SCAN_STEPS])
-    def test_planted_fold_coins(self, monkeypatch, coin, n_obs):
-        monkeypatch.setattr(polarsim.inference, "init_trace", planted(coin))
-        calls = count_scored_flips(monkeypatch)
-        scored = 0
-        for kwargs in FOLD_CONFIGS:
-            cfg = InferenceConfig(n_chains=1, iterations=2000, burn_in=100, **kwargs)
-            calls.clear()
-            floats = evaluated(monkeypatch, True, ME2, PARAMS, n_obs, cfg, 0)
-            scored += len(calls)
-            assert_same_chain(floats, evaluated(monkeypatch, False, ME2, PARAMS, n_obs, cfg, 0))
-        assert scored > 0
-
-    @pytest.mark.parametrize("n_obs", [5, 40])
-    def test_prior_draws_onto_the_fold(self, monkeypatch, n_obs):
-        # Every uniform prior draw at a step site is 0.5, so side coins
-        # land on the fold through the prior branch alone.
-        monkeypatch.setattr(np.random, "default_rng", fresh_halves(n_obs))
-        calls = count_scored_flips(monkeypatch)
-        cfg = InferenceConfig(
-            n_chains=1, iterations=3000, burn_in=100, seed=9, prior_prob=1.0, flip_prob=0.3
-        )
-        floats = evaluated(monkeypatch, True, ME2, PARAMS, n_obs, cfg, 0)
-        assert len(calls) > 0
-        assert_same_chain(floats, evaluated(monkeypatch, False, ME2, PARAMS, n_obs, cfg, 0))
-        _, _, factors, _, _ = replay_values(floats.final_values, n_obs, ME2, PARAMS)
-        assert floats.final_log_weight == pytest.approx(float(factors.sum()), abs=1e-9)
-
-
 def batches(indices: list) -> list:
     """The chains as one batch, in reverse, and in two strided subsets."""
     return [indices, indices[::-1], indices[::2], indices[1::3]]
@@ -609,20 +504,18 @@ def assert_batches_match_alone(env, params, n_obs, config) -> dict:
     return alone
 
 
-def lock_step_chains(n_obs: int) -> int:
-    """Enough chains for the whole batch to run in lock-step at ``n_obs``
-    (at N = 0 no batch does)."""
-    return SCAN_STEPS // n_obs + 2 if n_obs else 4
+def batch_chains(n_obs: int) -> int:
+    """Several chains and, from N = 1 up, more than 50 steps in all, so that
+    each (C, N) step column of a batch is a wide array."""
+    return 52 // n_obs + 2 if n_obs else 4
 
 
 class TestBatchInvariance:
-    """Chain i of ``run_chains`` is ``run_chain`` alone, bit for bit, in a
-    batch of any size, order or subset. The whole batch runs in lock-step;
-    a chain alone runs over plain floats below SCAN_STEPS and as a batch of
-    one from there up, and so do the smaller subsets."""
+    """Chain i of ``run_chains`` is ``run_chain`` alone, a batch of one, bit
+    for bit, in a batch of any size, order or subset."""
 
     @ENVIRONMENTS
-    @pytest.mark.parametrize("n_obs", [0, 1, 10, SCAN_STEPS - 1, SCAN_STEPS, 100])
+    @pytest.mark.parametrize("n_obs", [0, 1, 10, 51, 52, 100])
     def test_each_chain_is_the_chain_alone(self, env, params, n_obs):
         # The budget ends in the third step column, halfway through it from
         # N = 2 up.
@@ -630,7 +523,7 @@ class TestBatchInvariance:
         iterations = max(2, 200 // length) * length + 2 + 2 * n_obs + n_obs // 2
         for k, (flip_prob, prior_prob, prior_only) in enumerate(KERNELS):
             cfg = InferenceConfig(
-                n_chains=lock_step_chains(n_obs),
+                n_chains=batch_chains(n_obs),
                 iterations=iterations,
                 burn_in=length,
                 thin=3,
@@ -646,34 +539,34 @@ class TestBatchInvariance:
         length = 6 * n_obs + 2
         for iterations in range(3 * length, 4 * length + 1):
             cfg = InferenceConfig(
-                n_chains=lock_step_chains(n_obs), iterations=iterations, burn_in=length,
+                n_chains=batch_chains(n_obs), iterations=iterations, burn_in=length,
                 seed=iterations, flip_prob=0.3,
             )
             assert_batches_match_alone(HARSH, HARSH_PARAMS, n_obs, cfg)
 
     @FOLD_COINS
-    @pytest.mark.parametrize("n_obs", [3, 16, SCAN_STEPS])
+    @pytest.mark.parametrize("n_obs", [3, 16, 52])
     def test_planted_fold_coins_score_the_flip_of_some_chains(self, monkeypatch, coin, n_obs):
-        # Over plain floats a chain alone calls judge_steps only for its
-        # scored flips; in some batch some chains make one and some do not.
+        # The reference loop counts each chain's scored flips; in some batch
+        # some chains make one and some do not. A batch is mixed as soon as
+        # both kinds of chain are seen.
         monkeypatch.setattr(polarsim.inference, "init_trace", planted(coin))
-        calls = count_scored_flips(monkeypatch)
+        monkeypatch.setattr(reference_scan, "init_trace", planted(coin))
         mixed = 0
         for seed in range(4):
             cfg = InferenceConfig(
-                n_chains=max(8, lock_step_chains(n_obs)), iterations=2000, burn_in=100,
+                n_chains=max(8, batch_chains(n_obs)), iterations=2000, burn_in=100,
                 seed=seed, flip_prob=0.5,
             )
-            floats, scored = [], []
-            for i in range(cfg.n_chains):
-                calls.clear()
-                floats.append(evaluated(monkeypatch, True, ME2, PARAMS, n_obs, cfg, i))
-                scored.append(len(calls))
-            monkeypatch.setattr(polarsim.inference, "SCAN_STEPS", SCAN_STEPS)
             alone = assert_batches_match_alone(ME2, PARAMS, n_obs, cfg)
-            for i, result in enumerate(floats):
-                assert_same_chain(result, alone[i])
-            mixed += 0 < sum(count > 0 for count in scored) < cfg.n_chains
+            kinds = set()
+            for i in range(cfg.n_chains):
+                ref, count = reference_chain(ME2, PARAMS, n_obs, cfg, i)
+                assert_matches_reference(alone[i], ref)
+                kinds.add(count > 0)
+                if len(kinds) == 2:
+                    break
+            mixed += len(kinds) == 2
         assert mixed > 0
 
 
