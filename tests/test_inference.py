@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import polarsim.inference
@@ -40,6 +41,7 @@ from polarsim.model import (
 )
 from polarsim.trace import (
     init_trace,
+    judge_steps,
     normal_site_mask,
     reflect_unit,
     replay_values,
@@ -256,6 +258,47 @@ def fresh_halves(n_obs: int):
             return self.rng.standard_normal(size, out=out)
 
     return Halves
+
+
+# Signed zeros, subnormals, and magnitudes far apart enough that the
+# order of addition changes the rounded sum.
+SUMMANDS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+# Up to 128 terms NumPy sums a row with eight accumulators, beyond that by
+# halving; the counts cover both.
+PAIRWISE_COUNTS = range(129)
+
+
+def row_sums_match_alone(batch: np.ndarray) -> None:
+    """Each row of the (C, N) ``batch``, summed along axis 1 as the sampler
+    sums its log factors, is NumPy's pairwise sum of that row alone, bit
+    for bit."""
+    alone = [float(np.add.reduce(row)).hex() for row in batch]
+    assert [float(s).hex() for s in batch.sum(axis=1)] == alone
+    assert [float(s).hex() for s in batch.sum(axis=1, keepdims=True)[:, 0]] == alone
+
+
+class TestPairwiseSum:
+    """A chain's log weight is its row of the batch's (C, N) log factors
+    summed along axis 1. A chain is the same in any batch only if that sum
+    does not depend on the rows around it: it must be NumPy's pairwise sum
+    of the row alone, as ``replay_values`` takes it."""
+
+    @pytest.mark.parametrize("n", PAIRWISE_COUNTS)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_equals_numpy_reduce(self, n, data):
+        chains = data.draw(st.integers(min_value=1, max_value=9))
+        row_sums_match_alone(data.draw(hnp.arrays(np.float64, (chains, n), elements=SUMMANDS)))
+
+    def test_negative_zeros_sum_to_positive_zero_like_numpy(self):
+        for n in PAIRWISE_COUNTS:
+            row_sums_match_alone(np.full((3, n), -0.0))
 
 
 needs_procfs = pytest.mark.skipif(
@@ -485,6 +528,99 @@ class TestScanMatchesReferenceLoop:
                     sum(r.n_accepted for r in manual),
                     sum(r.n_flips for r in manual),
                 )
+
+
+def count_scored_flips(monkeypatch) -> list:
+    """Record each mirror flip the sampler scores on its own: a
+    ``judge_steps`` call on one chain's (6, N) array, where every other call
+    scores a batch's six (C, N) columns, passed as a list."""
+    calls = []
+
+    def counted(cols, *args):
+        if isinstance(cols, np.ndarray):
+            calls.append(cols.shape)
+        return judge_steps(cols, *args)
+
+    monkeypatch.setattr(polarsim.inference, "judge_steps", counted)
+    return calls
+
+
+def assert_weight_is_replay(chain: ChainResult, env, params, n_obs: int) -> None:
+    """The chain's final log weight is the sum of a full replay's log
+    factors of its final values, bit for bit."""
+    _, _, factors, _, _ = replay_values(chain.final_values, n_obs, env, params)
+    assert float(chain.final_log_weight).hex() == float(factors.sum()).hex()
+
+
+class TestEvaluatorsAgree:
+    """The sampler's two evaluations of a chain's log weight are the same
+    bit for bit: the incremental one, which rescores a proposal's site in
+    the batch's (C, N) columns (or a scored mirror flip on its own) and
+    keeps the factors of accepted ones, and a full replay of the chain's
+    final values (``replay_values``), which scores every step at once.
+    (TestRunChain checks the replay to 1e-9 over longer chains.)"""
+
+    @ENVIRONMENTS
+    @pytest.mark.parametrize("n_obs", [0, 1, 7, 8, 16, 45, 46, 47, 51, 52])
+    def test_bitwise_equal_chains(self, env, params, n_obs):
+        for k, (flip_prob, prior_prob, prior_only) in enumerate(KERNELS):
+            if prior_only:
+                continue  # No log weight is kept.
+            cfg = InferenceConfig(
+                n_chains=3,
+                iterations=1000,
+                burn_in=200,
+                thin=3,
+                seed=100 * n_obs + k,
+                flip_prob=flip_prob,
+                prior_prob=prior_prob,
+            )
+            for chain in run_chains(env, params, n_obs, cfg, range(3)):
+                assert_weight_is_replay(chain, env, params, n_obs)
+
+    @pytest.mark.parametrize("n_obs", [1, 7])
+    def test_budgets_ending_anywhere_in_a_scan(self, n_obs):
+        length = 6 * n_obs + 2
+        for iterations in range(3 * length, 4 * length + 1):
+            cfg = InferenceConfig(
+                n_chains=3, iterations=iterations, burn_in=length, seed=iterations,
+                flip_prob=0.3,
+            )
+            for chain in run_chains(HARSH, HARSH_PARAMS, n_obs, cfg, range(3)):
+                assert_weight_is_replay(chain, HARSH, HARSH_PARAMS, n_obs)
+
+    @FOLD_COINS
+    @pytest.mark.parametrize("n_obs", [3, 15, 16, 40, 45, 46, 51, 52])
+    def test_planted_fold_coins(self, monkeypatch, coin, n_obs):
+        # Each budget ends with a scan's mirror flip, so the factors of a
+        # scored flip are the last the chain keeps.
+        monkeypatch.setattr(polarsim.inference, "init_trace", planted(coin))
+        calls = count_scored_flips(monkeypatch)
+        length = 6 * n_obs + 2
+        for kwargs in FOLD_CONFIGS:
+            if kwargs.get("disable_likelihood"):
+                continue  # No log weight is kept.
+            for scans in (1, 2, 3):
+                cfg = InferenceConfig(n_chains=1, iterations=scans * length, burn_in=0, **kwargs)
+                chain = run_chain(ME2, PARAMS, n_obs, cfg, 0)
+                assert_weight_is_replay(chain, ME2, PARAMS, n_obs)
+        assert len(calls) > 0
+
+    @pytest.mark.parametrize("n_obs", [5, 40])
+    def test_prior_draws_onto_the_fold(self, monkeypatch, n_obs):
+        # Every uniform prior draw at a step site is 0.5, so side coins
+        # land on the fold through the prior branch alone.
+        monkeypatch.setattr(np.random, "default_rng", fresh_halves(n_obs))
+        # The budget ends with a scan's mirror flip.
+        calls = count_scored_flips(monkeypatch)
+        length = 6 * n_obs + 2
+        cfg = InferenceConfig(
+            n_chains=1, iterations=3000 // length * length, burn_in=100, seed=9,
+            prior_prob=1.0, flip_prob=0.3,
+        )
+        chain = run_chain(ME2, PARAMS, n_obs, cfg, 0)
+        assert len(calls) > 0
+        assert_weight_is_replay(chain, ME2, PARAMS, n_obs)
 
 
 def batches(indices: list) -> list:
