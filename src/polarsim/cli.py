@@ -18,10 +18,10 @@ the stem of its cells' file names, so it must be ASCII letters, digits,
 `_`, `-` and `.`, not starting with `.`.
 
 Cells run in order: quadrature, then the cell's chains, then its artifacts.
-With more than one worker, one process pool serves the whole experiment and
-every cell's chains are queued on it before the first cell starts, so the
-parent's quadrature and writing overlap the sampling of later cells. The
-pool has no more processes than the experiment has chains.
+The chains run on min(workers, usable cores, chains) processes. With more
+than one, one process pool serves the whole experiment and every cell's
+chains are queued on it, one batch per process, before the first cell
+starts, so the parent's quadrature and writing overlap later cells' sampling.
 
 The manifest echoes the experiment configuration but not execution details
 (worker count, output directory), and all wall-clock numbers live under the
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -84,6 +85,7 @@ __all__ = [
     "load_config",
     "config_to_json",
     "run_experiment",
+    "usable_cores",
     "main",
 ]
 
@@ -116,6 +118,7 @@ class ExperimentConfig:
     inference: InferenceConfig
     inference_by_n: dict[int, dict[str, int]] = field(default_factory=dict)
     grid_points: int = 801
+    workers: int = 1
     out_dir: Path = Path("out")
     mode: str = "both"
 
@@ -146,10 +149,9 @@ def _fields(cls, *kinds: type) -> dict[str, type]:
 
 
 # The config schema. The top level takes ExperimentConfig's scalar fields
-# and two inference fields, seed and worker count; the per-count schedule
-# takes the integer budget fields, and an outlet override the emission
-# numbers.
-_LIFTED = {k: _fields(InferenceConfig)[k] for k in ("seed", "workers")}
+# and one inference field, the seed; the per-count schedule takes the
+# integer budget fields, and an outlet override the emission numbers.
+_LIFTED = {"seed": _fields(InferenceConfig)["seed"]}
 _MODEL = _fields(ModelParams)
 _INFERENCE = {k: t for k, t in _fields(InferenceConfig).items() if k not in _LIFTED}
 _SCHEDULE = {k: t for k, t in _INFERENCE.items() if t is int}
@@ -320,6 +322,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise UsageError(f"observation_counts: no validation tolerance for {missing}")
     if config.grid_points < 3:
         raise UsageError("grid_points: need an integer >= 3")
+    if config.workers < 1:
+        raise UsageError("workers: need an integer >= 1")
     # Per-count overrides must themselves form valid budgets.
     for n in counts:
         _build(f"inference_by_n.{n}", config.cell_inference, {"n_obs": n})
@@ -355,9 +359,17 @@ def config_to_json(config: ExperimentConfig, include_execution: bool = True) -> 
         "grid_points": config.grid_points,
     }
     if include_execution:
-        data["workers"] = config.inference.workers
+        data["workers"] = config.workers
         data["out_dir"] = str(config.out_dir)
     return data
+
+
+def usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def run_experiment(config: ExperimentConfig) -> int:
@@ -394,18 +406,19 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     # With a pool, every cell's chains are queued before the first cell's
     # quadrature, so the parent's quadrature and writing overlap sampling.
+    # A fork-started pool starts every process at the first submit.
     pool = None
     queued: dict[str, typing.Iterator] = {}
     try:
-        if want_mcmc and config.inference.workers > 1:
-            budgets = {n: config.cell_inference(n) for n in config.observation_counts}
-            n_chains = len(config.environments) * sum(b.n_chains for b in budgets.values())
-            # A fork-started pool starts every worker at the first submit.
-            pool = ProcessPoolExecutor(max_workers=min(config.inference.workers, n_chains))
+        budgets = {n: config.cell_inference(n) for n in config.observation_counts}
+        n_chains = len(config.environments) * sum(b.n_chains for b in budgets.values())
+        procs = min(config.workers, usable_cores(), n_chains)
+        if want_mcmc and procs > 1:
+            pool = ProcessPoolExecutor(max_workers=procs)
             for n_obs, budget in budgets.items():
                 for env in config.environments:
                     queued[f"{env.name}_{n_obs}"] = queue_chains(
-                        pool, env, config.params, n_obs, budget
+                        pool, procs, env, config.params, n_obs, budget
                     )
         for row, n_obs in enumerate(config.observation_counts):
             for col, env in enumerate(config.environments):

@@ -14,15 +14,15 @@ its memory does not grow with its length.
 
 Chain seeds are derived from the experiment seed with a splitmix64 mix, and
 samples are concatenated in chain order, so results are identical whether
-chains run serially or in a process pool. ``queue_chains`` puts a cell's
-chains on a pool the caller owns, one batch per worker, so one pool can
-serve many cells.
+chains run serially or in a process pool. This module opens no pool:
+``queue_chains`` puts a cell's chains on a pool the caller owns, cut into
+as many batches as the caller asks, so one pool can serve many cells.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -90,7 +90,6 @@ class InferenceConfig:
     prior_prob: float = 0.7
     walk_scale: float = 0.25
     flip_prob: float = 0.05
-    workers: int = 1
     disable_likelihood: bool = False
 
     def __post_init__(self) -> None:
@@ -111,8 +110,6 @@ class InferenceConfig:
             raise ValueError("flip_prob must be in [0, 1)")
         if self.walk_scale <= 0.0:
             raise ValueError("walk_scale must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @property
     def kept_per_chain(self) -> int:
@@ -416,19 +413,20 @@ def _scan_batch(
 
 def queue_chains(
     pool: Executor,
+    workers: int,
     env: MediaEnvironment,
     params: ModelParams,
     n_obs: int,
     config: InferenceConfig,
 ) -> Iterator[ChainResult]:
-    """Submit every chain of one cell to ``pool`` now, as one contiguous
-    batch of ceil(n_chains / workers) chains per worker (``run_chains``).
+    """Submit every chain of one cell to ``pool`` now, as up to ``workers``
+    contiguous batches of ceil(n_chains / workers) chains (``run_chains``).
 
     Returns the chains' results in chain order as they are read, which
     waits for each batch; pass it to ``sample_posterior`` as ``chains``.
     Cells queued on one pool run in the order they were queued.
     """
-    size = -(-config.n_chains // config.workers)
+    size = -(-config.n_chains // workers)
     batches = [
         pool.submit(
             run_chains, env, params, n_obs, config, range(lo, min(lo + size, config.n_chains))
@@ -445,23 +443,17 @@ def sample_posterior(
     config: InferenceConfig,
     chains: "Iterable[ChainResult] | None" = None,
 ) -> SampleSet:
-    """All chains of one experiment cell, serial or in a process pool.
+    """All chains of one experiment cell.
 
     ``chains`` takes the cell's results from ``queue_chains`` on a pool the
-    caller owns. Without it the chains run here as one batch
-    (``run_chains``), or on a pool opened for this cell alone, with
-    ``config.workers`` processes but no more than the cell has chains. The
-    result is identical for every ``workers`` value: chain i depends only on
-    ``(config.seed, i)``, whatever batch it runs in, and samples are
-    concatenated in chain order.
+    caller owns; without it the chains run here as one batch
+    (``run_chains``). The result is the same either way and for every batch
+    count: chain i depends only on ``(config.seed, i)``, whatever batch it
+    runs in, and samples are concatenated in chain order.
     """
-    if chains is not None:
-        results = list(chains)
-    elif config.workers == 1:
-        results = run_chains(env, params, n_obs, config, range(config.n_chains))
-    else:
-        with ProcessPoolExecutor(max_workers=min(config.workers, config.n_chains)) as pool:
-            results = list(queue_chains(pool, env, params, n_obs, config))
+    if chains is None:
+        chains = run_chains(env, params, n_obs, config, range(config.n_chains))
+    results = list(chains)
 
     return SampleSet(
         samples=np.vstack([r.samples for r in results]),

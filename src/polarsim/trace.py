@@ -36,7 +36,6 @@ __all__ = [
     "judge_steps",
     "pipeline_from_values",
     "replay_values",
-    "reflect_unit",
     "reflect_units",
 ]
 
@@ -78,8 +77,8 @@ def _env_arrays(env: MediaEnvironment) -> tuple[np.ndarray, ...]:
 
 class StepPipeline(NamedTuple):
     """Per-step outputs of the judgment pipeline, one entry per step: the
-    news politics and news contest draw the sampler caches, the truth
-    judgments, the judged politics and the log factors."""
+    news politics, the news contest draw, the truth judgments, the judged
+    politics and the log factors."""
 
     p_news: np.ndarray
     x_news: np.ndarray
@@ -161,16 +160,10 @@ def init_trace(n_observations: int, rng: np.random.Generator) -> np.ndarray:
     return values
 
 
-def reflect_unit(u: float) -> float:
-    """Fold an unbounded walk proposal back into [0, 1]."""
-    u = math.fmod(u, 2.0)
-    if u < 0.0:
-        u += 2.0
-    return 2.0 - u if u > 1.0 else u
-
-
 def reflect_units(u: np.ndarray) -> np.ndarray:
-    """``reflect_unit`` of every entry of an array, with the same roundings."""
+    """Fold every entry of a walk proposal back into [0, 1], with period 2 and
+    mirrors at 0 and 1: u becomes r = fmod(u, 2), plus 2 if negative, then
+    2 - r if r > 1."""
     u = np.fmod(u, 2.0)
     u = np.where(u < 0.0, u + 2.0, u)
     return np.where(u > 1.0, 2.0 - u, u)

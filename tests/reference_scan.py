@@ -16,13 +16,15 @@ import numpy as np
 
 from polarsim.inference import ChainResult, InferenceConfig, derive_chain_seed
 from polarsim.model import MediaEnvironment, ModelParams
-from polarsim.trace import (
-    address_count,
-    init_trace,
-    normal_site_mask,
-    reflect_unit,
-    replay_values,
-)
+from polarsim.trace import address_count, init_trace, normal_site_mask, replay_values
+
+
+def reflect_unit(u: float) -> float:
+    """Fold an unbounded walk proposal back into [0, 1], one float at a time."""
+    u = math.fmod(u, 2.0)
+    if u < 0.0:
+        u += 2.0
+    return 2.0 - u if u > 1.0 else u
 
 
 def reference_chain(

@@ -24,7 +24,6 @@ every other check passes.
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -65,26 +64,21 @@ def cell_metrics(grids):
     return {cell: report.metrics_from_grid(grid) for cell, grid in grids.items()}
 
 
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 @pytest.fixture(scope="module")
 def runs():
     # All nine cells share one pool. Samples are byte-identical for every
     # worker count (criterion 7), so the checks see the same numbers
     # whatever the number of cores.
-    workers = str(min(2, usable_cores()))
-    config = cli.load_config(cli.build_parser().parse_args(["run", "--workers", workers]))
+    workers = min(2, cli.usable_cores())
+    config = cli.load_config(cli.build_parser().parse_args(["run"]))
     cells = {
         (name, n): (ENVIRONMENTS[name], PARAMS, n, config.cell_inference(n))
         for name, n in CELLS
     }
-    with ProcessPoolExecutor(max_workers=config.inference.workers) as pool:
-        queued = {cell: inference.queue_chains(pool, *args) for cell, args in cells.items()}
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        queued = {
+            cell: inference.queue_chains(pool, workers, *args) for cell, args in cells.items()
+        }
         return {
             cell: inference.sample_posterior(*args, chains=queued[cell])
             for cell, args in cells.items()

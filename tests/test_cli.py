@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarsim import cli, inference
+from polarsim import cli
 from polarsim.inference import InferenceConfig
-from polarsim.model import BUILTIN_ENVIRONMENTS, MediaEnvironment, ModelParams, OutletSpec
+from polarsim.model import MediaEnvironment, ModelParams, OutletSpec
 
 
 def run_cli(*argv):
@@ -32,6 +32,17 @@ def manifest_without_timing(out_dir):
     manifest = read_manifest(out_dir)
     del manifest["timing_seconds"]
     return manifest
+
+
+def assert_same_artifacts(a, b):
+    """Both output directories hold the same files, byte for byte, and the
+    same manifest outside ``timing_seconds``."""
+    names = sorted(path.name for path in a.iterdir())
+    assert names == sorted(path.name for path in b.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert manifest_without_timing(a) == manifest_without_timing(b)
 
 
 class TestConfigResolution:
@@ -251,6 +262,7 @@ class TestExitCodes:
                 )
                 for key in ("truth_sd", "politics_sd")
             ),
+            ({"workers": 0}, "workers"),
         ],
     )
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, data, key):
@@ -335,7 +347,10 @@ class TestExitCodes:
         assert run_cli() == 2
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_runtime_failure_writes_partial_manifest(self, tmp_path, capsys, workers):
+    def test_runtime_failure_writes_partial_manifest(
+        self, tmp_path, monkeypatch, capsys, workers
+    ):
+        monkeypatch.setattr(cli, "usable_cores", lambda: 2)
         out = tmp_path / "o"
         out.mkdir()
         (out / "ME1_10_samples.csv").mkdir()
@@ -355,28 +370,59 @@ class TestExitCodes:
 
 
 class TestPoolSize:
-    @pytest.mark.parametrize("route", ["run_experiment", "sample_posterior"])
-    def test_pool_has_no_more_workers_than_chains(self, tmp_path, monkeypatch, route):
-        sizes = []
+    """`run_experiment` opens a pool of min(workers, usable cores, chains)
+    processes when that is above 1, and cuts each cell into that many
+    batches."""
 
-        def recording_pool(max_workers):
-            sizes.append(max_workers)
-            return ThreadPoolExecutor(max_workers)
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The size of each pool opened, and of each batch submitted; the
+        pools are thread pools."""
+        opened = {"sizes": [], "batches": []}
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
-        monkeypatch.setattr(inference, "ProcessPoolExecutor", recording_pool)
-        if route == "run_experiment":
-            code = run_cli(
-                "mcmc", "--env", "ME1", "--observations", "1", "--chains", "2",
-                "--iters", "50", "--burn-in", "10", "--workers", "8",
-                "--out", str(tmp_path / "o"),
-            )
-            assert code == 0
-        else:
-            config = InferenceConfig(n_chains=2, iterations=50, burn_in=10, workers=8)
-            run = inference.sample_posterior(BUILTIN_ENVIRONMENTS["ME1"], ModelParams(), 1, config)
-            assert run.politics.size == 2 * 40
-        assert sizes == [2]
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened["sizes"].append(max_workers)
+                super().__init__(max_workers)
+
+            def submit(self, fn, *args):
+                opened["batches"].append(len(args[-1]))
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        return opened
+
+    @staticmethod
+    def mcmc(out, chains, workers):
+        return run_cli(
+            "mcmc", "--env", "ME1", "--observations", "1", "--chains", chains,
+            "--iters", "50", "--burn-in", "10", "--seed", "5", "--workers", workers,
+            "--out", str(out),
+        )
+
+    def test_pool_has_no_more_workers_than_chains(self, tmp_path, monkeypatch, pools):
+        monkeypatch.setattr(cli, "usable_cores", lambda: 64)
+        assert self.mcmc(tmp_path / "o", "2", "8") == 0
+        assert pools == {"sizes": [2], "batches": [1, 1]}
+
+    def test_pool_has_no_more_workers_than_cores(self, tmp_path, monkeypatch, pools):
+        monkeypatch.setattr(cli, "usable_cores", lambda: 2)
+        assert self.mcmc(tmp_path / "o", "16", "8") == 0
+        assert pools == {"sizes": [2], "batches": [8, 8]}
+
+    def test_one_core_opens_no_pool(self, tmp_path, monkeypatch, pools):
+        monkeypatch.setattr(cli, "usable_cores", lambda: 1)
+        assert self.mcmc(tmp_path / "a", "4", "2") == 0
+        assert self.mcmc(tmp_path / "b", "4", "1") == 0
+        assert pools == {"sizes": [], "batches": []}
+        assert_same_artifacts(tmp_path / "a", tmp_path / "b")
+
+    def test_usable_cores_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert cli.usable_cores() == 3
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli.usable_cores() == 1
 
 
 class TestMcmcMode:
@@ -424,7 +470,8 @@ class TestMcmcMode:
         assert text.count("<rect") >= 9
         assert "ME3 N=100" in text
 
-    def test_seeded_runs_are_byte_identical_across_workers(self, tmp_path):
+    def test_seeded_runs_are_byte_identical_across_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "usable_cores", lambda: 2)
         outputs = []
         for out_name, workers in (("a", "1"), ("b", "2")):
             out = tmp_path / out_name
@@ -437,13 +484,8 @@ class TestMcmcMode:
             assert code == 0
             outputs.append(out)
         a, b = outputs
-        names = sorted(path.name for path in a.iterdir())
-        assert names == sorted(path.name for path in b.iterdir())
-        assert len(names) == 1 + 4 * 4
-        for name in names:
-            if name != "manifest.json":
-                assert (a / name).read_bytes() == (b / name).read_bytes(), name
-        assert manifest_without_timing(a) == manifest_without_timing(b)
+        assert len(list(a.iterdir())) == 1 + 4 * 4
+        assert_same_artifacts(a, b)
         for out in outputs:
             timing = read_manifest(out)["timing_seconds"]
             assert set(timing["phases"]) == set(timing["cells"])

@@ -4,10 +4,13 @@ the package, and the independence of the quadrature route from the sampler.
 `benchmarks/traced.py` counts `trace.init_calls` and `trace.pipeline_calls` by
 replacing `inference.init_trace` and `inference.pipeline_from_values`, so
 `run_chain` and `run_chains` must reach both through those module globals,
-once per chain.
+once per chain. It also wraps the functions `cli` calls through its own module
+globals, and describes a sampled cell by `sample_posterior`'s positional
+arguments 0 (the environment) and 2 (the observation count).
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +34,19 @@ def test_benchmark_pinned_names_exist():
         (oracle, "expected_weight"),
         (oracle, "expected_weight_matrix"),
         (cli, "_parse_environment"),
+        *(
+            (cli, name)
+            for name in (
+                "load_config", "run_experiment", "build_parser", "main", "posterior",
+                "write_grid_csv", "sample_posterior", "write_samples_csv", "bin_samples",
+                "tv_distance", "metrics_from_grid", "metrics_from_histogram",
+                "write_histogram_csv", "write_metrics_json", "emit_figure",
+            )
+        ),
     ]:
         assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+    assert set(cli.TV_TOLERANCES) == {1, 10, 100}
+    assert "n_proposals" in {f.name for f in fields(inference.ChainResult)}
 
     n_obs = 3
     values = np.random.default_rng(0).random(trace.address_count(n_obs))
@@ -41,6 +55,24 @@ def test_benchmark_pinned_names_exist():
     assert len(replayed) == 5
     assert replayed[2].shape == (n_obs,)
     assert cli._parse_environment("ME2") is ME2
+
+
+def test_run_experiment_calls_sample_posterior_once_per_cell(tmp_path, monkeypatch):
+    cells = []
+    original = cli.sample_posterior
+
+    def recording(*args, **kwargs):
+        cells.append((args[0].name, args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_posterior", recording)
+    code = cli.main([
+        "mcmc", "--env", "ME1", "--env", "ME3", "--observations", "1", "2",
+        "--chains", "2", "--iters", "30", "--burn-in", "10", "--workers", "1",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 0
+    assert cells == [("ME1", 1), ("ME3", 1), ("ME1", 2), ("ME3", 2)]
 
 
 @pytest.fixture

@@ -43,10 +43,9 @@ from polarsim.trace import (
     init_trace,
     judge_steps,
     normal_site_mask,
-    reflect_unit,
     replay_values,
 )
-from reference_scan import reference_chain
+from reference_scan import reference_chain, reflect_unit
 
 PARAMS = ModelParams()
 
@@ -134,7 +133,6 @@ class TestInferenceConfig:
             {"prior_prob": 1.5},
             {"flip_prob": 1.0},
             {"walk_scale": 0.0},
-            {"workers": 0},
             {"iterations": 10, "burn_in": 5, "thin": 10},
         ],
     )
@@ -497,10 +495,11 @@ class TestScanMatchesReferenceLoop:
         assert moved.mean() > 0.9
 
     def test_worker_count_does_not_change_samples(self):
-        serial = InferenceConfig(n_chains=4, iterations=3000, burn_in=500, seed=4)
-        pooled = replace(serial, workers=2)
-        a = sample_posterior(ME2, PARAMS, 100, serial)
-        b = sample_posterior(ME2, PARAMS, 100, pooled)
+        config = InferenceConfig(n_chains=4, iterations=3000, burn_in=500, seed=4)
+        a = sample_posterior(ME2, PARAMS, 100, config)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            queued = queue_chains(pool, 2, ME2, PARAMS, 100, config)
+            b = sample_posterior(ME2, PARAMS, 100, config, chains=queued)
         assert a.samples.tobytes() == b.samples.tobytes()
         assert (a.n_proposals, a.n_accepted, a.n_flips) == (
             b.n_proposals,
@@ -511,12 +510,11 @@ class TestScanMatchesReferenceLoop:
     @pytest.mark.parametrize("n_obs", [1, 10])
     def test_worker_count_does_not_change_samples_in_uneven_batches(self, n_obs):
         # Seven chains make batches of 7, of 4 and 3, and of 3, 3 and 1.
-        base = InferenceConfig(n_chains=7, iterations=600, burn_in=100, seed=4)
-        manual = [run_chain(ME2, PARAMS, n_obs, base, i) for i in range(7)]
+        config = InferenceConfig(n_chains=7, iterations=600, burn_in=100, seed=4)
+        manual = [run_chain(ME2, PARAMS, n_obs, config, i) for i in range(7)]
         for workers in (1, 2, 3):
-            config = replace(base, workers=workers)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                queued = queue_chains(pool, ME2, PARAMS, n_obs, config)
+                queued = queue_chains(pool, workers, ME2, PARAMS, n_obs, config)
                 runs = [
                     sample_posterior(ME2, PARAMS, n_obs, config),
                     sample_posterior(ME2, PARAMS, n_obs, config, chains=queued),
@@ -745,10 +743,12 @@ class TestSamplePosterior:
         np.testing.assert_array_equal(ss.samples, manual)
 
     def test_worker_count_does_not_change_samples(self):
-        serial = InferenceConfig(n_chains=6, iterations=300, burn_in=50, seed=4)
-        pooled = InferenceConfig(n_chains=6, iterations=300, burn_in=50, seed=4, workers=2)
-        a = sample_posterior(ME2, PARAMS, 3, serial)
-        b = sample_posterior(ME2, PARAMS, 3, pooled)
+        config = InferenceConfig(n_chains=6, iterations=300, burn_in=50, seed=4)
+        a = sample_posterior(ME2, PARAMS, 3, config)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            b = sample_posterior(
+                ME2, PARAMS, 3, config, chains=queue_chains(pool, 2, ME2, PARAMS, 3, config)
+            )
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
 

@@ -19,10 +19,10 @@ from polarsim.trace import (
     judge_steps,
     normal_site_mask,
     pipeline_from_values,
-    reflect_unit,
     reflect_units,
     replay_values,
 )
+from reference_scan import reflect_unit
 
 ME1 = BUILTIN_ENVIRONMENTS["ME1"]
 ME3 = BUILTIN_ENVIRONMENTS["ME3"]
