@@ -438,7 +438,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                             env,
                             config.params,
                             n_obs,
-                            config.cell_inference(n_obs),
+                            budgets[n_obs],
                             chains=queued.get(cell_key),
                         )
                     marks.append(time.perf_counter())

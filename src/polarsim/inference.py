@@ -6,11 +6,13 @@ mirror flip that exchanges the two politics modes. Given the agent the
 steps are conditionally independent, so each step of a column is accepted
 on its own.
 
-``run_chains`` runs a batch of chains in lock-step, one NumPy pass per
-site for the whole batch. Every chain keeps its own generator and takes
-the same draws in any batch, so it is the same chain bit for bit whatever
-batch it runs in: a chain's trajectory is a pure function of its seed, and
-its memory does not grow with its length.
+``run_chains`` is the one kernel: it runs a batch of chains in lock-step,
+one NumPy pass per site for the whole batch, with one update for both
+agent sites, and with the likelihood off every log factor is 0. Every
+chain keeps its own generator and takes the same draws in any batch, so it
+is the same chain bit for bit whatever batch it runs in: a chain's
+trajectory is a pure function of its seed, and its memory does not grow
+with its length.
 
 Chain seeds are derived from the experiment seed with a splitmix64 mix, and
 samples are concatenated in chain order, so results are identical whether
@@ -123,8 +125,9 @@ class ChainResult:
     ``samples`` has one row per kept iteration with columns (agent politics,
     agent analytic). Every iteration is one site proposal, so
     ``n_proposals`` equals the iterations; ``n_accepted`` counts the
-    accepted ones, and ``n_flips`` the mirror flips made after full scans,
-    which are not proposals.
+    accepted ones. ``n_flips`` counts the mirror flips proposed after full
+    scans, which are not site proposals; it includes a scored flip that
+    Metropolis-Hastings rejects.
     """
 
     samples: np.ndarray
@@ -142,9 +145,6 @@ class SampleSet:
     kernel counters of ``ChainResult`` summed over the chains."""
 
     samples: np.ndarray
-    env_name: str
-    n_obs: int
-    config: InferenceConfig
     n_proposals: int
     n_accepted: int
     n_flips: int
@@ -180,50 +180,15 @@ def run_chains(
     config: InferenceConfig,
     indices: Iterable[int],
 ) -> list[ChainResult]:
-    """The chains of ``indices``, each over a fresh prior-drawn value array.
+    """The chains of ``indices``, run in lock-step by the systematic scan.
 
     Each chain draws its start (``init_trace``) from its own generator, and
-    the start is scored by one ``pipeline_from_values`` pass. The chains
-    then run in lock-step (``_scan_batch``), and chain i is the same
-    whatever batch it is run in. Memory is O(chains x (n_obs + kept
-    samples)), not O(iterations). The incremental log weight is
-    cross-checked against a full replay in the test suite.
-    """
-    seeds = [derive_chain_seed(config.seed, i) for i in indices]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    values = [init_trace(n_obs, rng) for rng in rngs]
-    starts = [pipeline_from_values(v, n_obs, env, params) for v in values]
-    runs = _scan_batch(values, starts, rngs, env, params, n_obs, config)
-    return [
-        ChainResult(
-            samples=samples,
-            n_proposals=config.iterations,
-            n_accepted=n_acc,
-            n_flips=n_flips,
-            final_values=final_values,
-            final_log_weight=log_weight,
-            chain_seed=seed,
-        )
-        for seed, (samples, n_acc, n_flips, final_values, log_weight) in zip(seeds, runs)
-    ]
-
-
-def _scan_batch(
-    values: list,
-    starts: list,
-    rngs: list,
-    env: MediaEnvironment,
-    params: ModelParams,
-    n_obs: int,
-    config: InferenceConfig,
-) -> list:
-    """The systematic-scan kernel, over C chains at once.
-
-    One scan proposes at every site once, as 6N + 2 iterations: agent
-    politics, agent analytic (each rescoring all N steps), then each of the
-    six step columns in layout order, each step accepted on its own. A site
-    proposal is a prior resample with probability ``prior_prob``, else a
-    walk of ``walk_scale`` (reflected into [0, 1] at a uniform site, with the
+    the start is scored by one ``pipeline_from_values`` pass. One scan
+    proposes at every site once, as 6N + 2 iterations: agent politics,
+    agent analytic (each rescoring all N steps), then each of the six step
+    columns in layout order, each step accepted on its own. A site proposal
+    is a prior resample with probability ``prior_prob``, else a walk of
+    ``walk_scale`` (reflected into [0, 1] at a uniform site, with the
     Gaussian prior correction at a normal one). The last scan stops
     mid-column when the iterations run out; a kept sample is the agent state
     after its iteration, and the keep rule reads only the iteration, so all
@@ -240,18 +205,24 @@ def _scan_batch(
     per iteration each, then the flip coin and its accept draw. Then 6N + 2
     standard normals into its row of a (C, 6N + 2) buffer, for the normal
     prior values and walk steps. So a chain's draws, and its decisions, do
-    not depend on the batch it is in.
+    not depend on the batch it is in: chain i is the same bit for bit
+    whatever batch it is run in.
 
     Each chain's values are a row of a (C, 6N + 2) array in scan order (the
     agent sites, then the steps column by column), so a row lines up with
     its draws; the steps are scored as six (C, N) columns with (C, N) log
-    factors, and the agent parameters are (C, 1) columns that broadcast
+    factors, and the agent is a (C, 2) array whose (C, 1) columns broadcast
     against them. Every site is one NumPy pass over the batch: one
     ``judge_steps`` call scores an agent proposal or a step column of every
-    chain. With no observations there is nothing to score. Returns, per
-    chain, ``(samples, accepted, flips, final values, final log weight)``.
+    chain. With the likelihood off (``disable_likelihood``, or no
+    observations) every log factor is 0 and nothing is scored. Memory is
+    O(chains x (n_obs + kept samples)), not O(iterations). The incremental
+    log weight is cross-checked against a full replay in the test suite.
     """
-    like_on = not config.disable_likelihood and n_obs > 0
+    seeds = [derive_chain_seed(config.seed, i) for i in indices]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    values = [init_trace(n_obs, rng) for rng in rngs]
+    starts = [pipeline_from_values(v, n_obs, env, params) for v in values]
     chains, n, length = len(rngs), n_obs, address_count(n_obs)
     env_arrays = _env_arrays(env)
     # The layout index of each site, in scan order.
@@ -259,36 +230,44 @@ def _scan_batch(
     state = np.array(values).take(order, axis=1)
     # Views of the steps of ``state``: six (C, N) columns.
     block = list(state[:, 2:].reshape(chains, 6, n).transpose(1, 0, 2))
-    z_agent = state[:, 0:1]
     normal = normal_site_mask(n)[order]
-    logf = np.array([s[2].log_factors for s in starts]) if like_on else np.zeros((chains, n))
-    p_agent = np.array([[s[0]] for s in starts])
-    a_agent = np.array([[s[1]] for s in starts])
+    # Agent politics and agent analytic.
+    agent = np.array([s[:2] for s in starts])
     u_draws = np.empty((chains, 3 * length + 2))
     z_draws = np.empty((chains, length))
     u_accept = u_draws[:, 2 * length : 3 * length]
 
-    def score(cols, p, a):
-        """The (C, N) log factors of six (C, N) step columns for agents p, a."""
-        return judge_steps(cols, p, a, env_arrays, params).log_factors
+    if config.disable_likelihood or n == 0:
 
-    def mh(d, site):
-        """Accept by Metropolis-Hastings, with log ratios ``d`` at a site."""
-        return u_accept[:, site] < np.exp(np.minimum(d, 0.0))
+        def score(cols, p, a):
+            """Zero log factors, one per entry of a column (the agents
+            broadcast against a column)."""
+            return np.zeros(cols[0].shape)
 
-    p_scale = params.prior_politics_sd
-    a_low = params.analytic_low
-    a_span = params.analytic_high - params.analytic_low
-    prior_p = config.prior_prob
-    w_scale = config.walk_scale
+        logf = np.zeros((chains, n))
+    else:
+
+        def score(cols, p, a):
+            """The log factors of six step columns for agents p, a."""
+            return judge_steps(cols, p, a, env_arrays, params).log_factors
+
+        logf = np.array([s[2].log_factors for s in starts])
+
+    def mh(d, sites):
+        """Accept by Metropolis-Hastings, with log ratios ``d`` at ``sites``."""
+        return u_accept[:, sites] < np.exp(np.minimum(d, 0.0))
+
+    # Agent values from the unit values of their two sites.
+    agent_scale = np.array(
+        [params.prior_politics_sd, params.analytic_high - params.analytic_low]
+    )
     flip_q = 0.5 * (1.0 - (1.0 - 2.0 * config.flip_prob) ** length)
     iterations = config.iterations
-    burn = config.burn_in
     thin = config.thin
 
-    # Runs of kept samples: agent politics, agent analytic, times kept.
-    kept = []
-    next_keep = burn + thin - 1
+    kept = np.empty((chains, config.kept_per_chain, 2))
+    n_kept = 0
+    next_keep = config.burn_in + thin - 1
     n_acc = np.zeros((chains, 1), dtype=np.int64)
     n_flips = np.zeros((chains, 1), dtype=np.int64)
     step_acc = np.zeros((chains, n), dtype=np.int64)
@@ -300,67 +279,53 @@ def _scan_batch(
 
         # Every site's proposal reads only its own value, which holds until
         # its turn in the scan, so all are made up front, in scan order.
-        prior = u_draws[:, :length] < prior_p
-        walk = state + w_scale * z_draws
+        prior = u_draws[:, :length] < config.prior_prob
+        walk = state + config.walk_scale * z_draws
         fresh = np.where(normal, z_draws, u_draws[:, length : 2 * length])
         proposals = np.where(prior, fresh, np.where(normal, walk, reflect_units(walk)))
         corrs = np.where(normal & ~prior, 0.5 * (state * state - walk * walk), 0.0)
+        moves = proposals[:, :2] * agent_scale
+        moves[:, 1] += params.analytic_low
 
-        # Agent politics.
-        pa_new = p_scale * proposals[:, 0:1]
-        if like_on:
-            lf = score(block, pa_new, a_agent)
-            total = logf.sum(axis=1, keepdims=True)
+        # The agent sites, each rescoring every step. A kept sample is the
+        # agent after its iteration: after agent politics at ``first``, and
+        # after agent analytic, which holds, through the rest of the scan.
+        total = logf.sum(axis=1, keepdims=True)
+        for site in range(min(2, todo)):
+            trial = agent.copy()
+            trial[:, site] = moves[:, site]
+            lf = score(block, trial[:, 0:1], trial[:, 1:2])
             new_total = lf.sum(axis=1, keepdims=True)
-            accept = mh((new_total - total) + corrs[:, 0:1], slice(0, 1))
+            at = slice(site, site + 1)
+            accept = mh((new_total - total) + corrs[:, at], at)
+            n_acc += accept
             np.copyto(logf, lf, where=accept)
             total = np.where(accept, new_total, total)
-        else:
-            accept = mh(corrs[:, 0:1], slice(0, 1))
-        n_acc += accept
-        np.copyto(z_agent, proposals[:, 0:1], where=accept)
-        p_agent = np.where(accept, pa_new, p_agent)
-        if next_keep == first:
-            kept.append((p_agent, a_agent, 1))
-            next_keep += thin
-        if todo == 1:
-            break  # The budget ends at agent politics.
-
-        # Agent analytic; its state holds through the step columns.
-        aa_new = a_low + a_span * proposals[:, 1:2]
-        if like_on:
-            lf = score(block, p_agent, aa_new)
-            accept = mh(lf.sum(axis=1, keepdims=True) - total, slice(1, 2))
-            np.copyto(logf, lf, where=accept)
-        else:
-            accept = np.ones((chains, 1), dtype=bool)
-        n_acc += accept
-        np.copyto(state[:, 1:2], proposals[:, 1:2], where=accept)
-        a_agent = np.where(accept, aa_new, a_agent)
-        if next_keep < first + todo:
-            times = (first + todo - 1 - next_keep) // thin + 1
-            kept.append((p_agent, a_agent, times))
-            next_keep += times * thin
+            np.copyto(state[:, at], proposals[:, at], where=accept)
+            np.copyto(agent, trial, where=accept)
+            last = first + todo - 1 if site else first
+            if next_keep <= last:
+                times = (last - next_keep) // thin + 1
+                kept[:, n_kept : n_kept + times] = agent[:, None]
+                n_kept += times
+                next_keep += times * thin
 
         # The six step columns, each step accepted on its own.
         for col in range(6):
             lo = 2 + col * n
             if lo >= todo:
                 break
-            new = proposals[:, lo : lo + n]
-            if like_on:
-                cols = block.copy()
-                cols[col] = new
-                lf = score(cols, p_agent, a_agent)
-                accept = mh((lf - logf) + corrs[:, lo : lo + n], slice(lo, lo + n))
-            else:
-                accept = mh(corrs[:, lo : lo + n], slice(lo, lo + n))
+            at = slice(lo, lo + n)
+            new = proposals[:, at]
+            cols = block.copy()
+            cols[col] = new
+            lf = score(cols, agent[:, 0:1], agent[:, 1:2])
+            accept = mh((lf - logf) + corrs[:, at], at)
             if todo - lo < n:
                 accept[:, todo - lo :] = False
             step_acc += accept
             np.copyto(block[col], new, where=accept)
-            if like_on:
-                np.copyto(logf, lf, where=accept)
+            np.copyto(logf, lf, where=accept)
 
         if todo < length:
             break
@@ -369,45 +334,42 @@ def _scan_batch(
             continue
         n_flips += flips
         # Without a side coin at 0.5 the flip is the exact mirror image and
-        # keeps every step factor bitwise; without the likelihood every
-        # factor is 0. Either way it is accepted. Otherwise the chain's
-        # flipped state is scored on its own and accepted by MH.
-        if like_on:
-            scored = flips & np.any(block[_COL_SIDE] == 0.5, axis=1, keepdims=True)
-            for c in np.flatnonzero(scored):
-                mirror = state[c, 2:].reshape(6, n).copy()
-                mirror[_COL_SIDE] = 1.0 - mirror[_COL_SIDE]
-                mirror[_COL_ZPOL] = -mirror[_COL_ZPOL]
-                pipe = judge_steps(mirror, -p_agent[c, 0], a_agent[c, 0], env_arrays, params)
-                d = float(pipe.log_factors.sum()) - float(logf[c].sum())
-                if d >= 0.0 or u_draws[c, 3 * length + 1] < math.exp(d):
-                    logf[c] = pipe.log_factors
-                else:
-                    flips[c] = False
+        # keeps every step factor bitwise, so it is accepted. Otherwise the
+        # chain's flipped state is scored on its own and accepted by MH.
+        scored = flips & np.any(block[_COL_SIDE] == 0.5, axis=1, keepdims=True)
+        for c in np.flatnonzero(scored):
+            mirror = state[c, 2:].reshape(6, n).copy()
+            mirror[_COL_SIDE] = 1.0 - mirror[_COL_SIDE]
+            mirror[_COL_ZPOL] = -mirror[_COL_ZPOL]
+            lf = score(mirror, -agent[c, 0], agent[c, 1])
+            d = float(lf.sum()) - float(logf[c].sum())
+            if d >= 0.0 or u_draws[c, 3 * length + 1] < math.exp(d):
+                logf[c] = lf
+            else:
+                flips[c] = False
         for site, mirrored in (
-            (z_agent, -z_agent),
+            (state[:, 0:1], -state[:, 0:1]),
+            (agent[:, 0:1], -agent[:, 0:1]),
             (block[_COL_SIDE], 1.0 - block[_COL_SIDE]),
             (block[_COL_ZPOL], -block[_COL_ZPOL]),
         ):
             np.copyto(site, mirrored, where=flips)
-        p_agent = np.where(flips, -p_agent, p_agent)
 
     finals = np.empty_like(state)
     finals[:, order] = state
-    log_weights = logf.sum(axis=1) if like_on else np.zeros(chains)
     n_acc += step_acc.sum(axis=1, keepdims=True)
-    times = [t for _, _, t in kept]
-    kept_p = np.repeat(np.concatenate([p for p, _, _ in kept], axis=1), times, axis=1)
-    kept_a = np.repeat(np.concatenate([a for _, a, _ in kept], axis=1), times, axis=1)
+    log_weights = logf.sum(axis=1)
     return [
-        (
-            np.column_stack((kept_p[c], kept_a[c])),
-            int(n_acc[c, 0]),
-            int(n_flips[c, 0]),
-            finals[c],
-            float(log_weights[c]),
+        ChainResult(
+            samples=kept[c],
+            n_proposals=iterations,
+            n_accepted=int(n_acc[c, 0]),
+            n_flips=int(n_flips[c, 0]),
+            final_values=finals[c],
+            final_log_weight=float(log_weights[c]),
+            chain_seed=seed,
         )
-        for c in range(chains)
+        for c, seed in enumerate(seeds)
     ]
 
 
@@ -457,9 +419,6 @@ def sample_posterior(
 
     return SampleSet(
         samples=np.vstack([r.samples for r in results]),
-        env_name=env.name,
-        n_obs=n_obs,
-        config=config,
         n_proposals=sum(r.n_proposals for r in results),
         n_accepted=sum(r.n_accepted for r in results),
         n_flips=sum(r.n_flips for r in results),

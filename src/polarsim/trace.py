@@ -77,11 +77,8 @@ def _env_arrays(env: MediaEnvironment) -> tuple[np.ndarray, ...]:
 
 class StepPipeline(NamedTuple):
     """Per-step outputs of the judgment pipeline, one entry per step: the
-    news politics, the news contest draw, the truth judgments, the judged
-    politics and the log factors."""
+    truth judgments, the judged politics and the log factors."""
 
-    p_news: np.ndarray
-    x_news: np.ndarray
     accepted: np.ndarray
     p_judged: np.ndarray
     log_factors: np.ndarray
@@ -116,7 +113,7 @@ def judge_steps(
 
     z = (p_judged - agent_politics) / params.likelihood_sd
     factors = -0.5 * z * z - math.log(params.likelihood_sd) - _HALF_LOG_2PI
-    return StepPipeline(p_news, x_news, accepted, p_judged, factors)
+    return StepPipeline(accepted, p_judged, factors)
 
 
 def pipeline_from_values(

@@ -3,6 +3,7 @@ reference loop."""
 
 import itertools
 import math
+import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -309,7 +310,9 @@ def chain_peak_mib(n_obs: int) -> float:
     a million iterations at ``n_obs`` observations.
 
     The child reads its peak from VmHWM: getrusage's ru_maxrss would carry
-    over this process's peak from before exec.
+    over this process's peak from before exec. It inherits the caller's
+    ``PYTHONDONTWRITEBYTECODE``, so it writes bytecode only if the caller
+    would.
     """
     code = (
         "from polarsim.inference import InferenceConfig, run_chain\n"
@@ -320,12 +323,15 @@ def chain_peak_mib(n_obs: int) -> float:
         "print(next(l.split()[1] for l in status if l.startswith('VmHWM')))\n"
     )
     src = str(Path(polarsim.inference.__file__).resolve().parents[1])
+    env = {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
-        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        env=env,
         timeout=300,
     )
     return int(out.stdout.split()[-1]) / 1024

@@ -116,8 +116,8 @@ class TestReplay:
         # Step 2: fake news item at its negative mode (politics -0.9, truth
         # 0.4), news draw 0.9 * 0.4 against 0.1 * (0.75 - 0.2 * 0.2 ** 1.3),
         # so accepted; -0.9 scores 5.2 sds from the agent.
-        np.testing.assert_array_equal(pipe.p_news, [0.0, -0.9])
-        assert pipe.x_news[1] == pytest.approx(0.36, abs=1e-15)
+        np.testing.assert_array_equal(news_politics(pipe), [0.0, -0.9])
+        assert_news_draws(values[base2 : base2 + 6, None], [0.36], tol=1e-15)
         np.testing.assert_array_equal(pipe.accepted, [False, True])
         np.testing.assert_array_equal(pipe.p_judged, [0.0, -0.9])
         np.testing.assert_allclose(
@@ -141,6 +141,26 @@ def judge(cols, agent_politics=0.0, agent_analytic=0.75, env=ME1, params=PARAMS)
     )
 
 
+def news_politics(pipe):
+    """Each step's news politics, read back from its judgment: an accepted
+    item keeps its politics and a rejected one is judged its mirror."""
+    return np.where(pipe.accepted, pipe.p_judged, -pipe.p_judged)
+
+
+def assert_news_draws(cols, expected, tol=0.0):
+    """Each step's news contest draw is within ``tol`` of ``expected`` (equal
+    to it at 0), read through the judgment: it beats an agent draw just
+    below and loses to one just above, or ties one equal to it. With no
+    discount and analytic 1 the agent's bound is 1, so the agent's contest
+    coordinate is its draw."""
+    expected = np.asarray(expected, dtype=float)
+    below = expected - tol if tol else np.nextafter(expected, -np.inf)
+    params = replace(PARAMS, discount_scale=0.0)
+    for agent_draws, wins in ((below, True), (expected + tol, False)):
+        pipe = judge([*np.asarray(cols)[:5], agent_draws], agent_analytic=1.0, params=params)
+        np.testing.assert_array_equal(pipe.accepted, wins)
+
+
 class TestJudgeSteps:
     """Hand-derived cases of the judgment pipeline, one step per column."""
 
@@ -150,7 +170,9 @@ class TestJudgeSteps:
         u = [0.0, np.nextafter(c0, 0.0), c0, np.nextafter(c1, 0.0), c1, 1.0]
         pipe = judge([u, [0.0] * 6, [0.0] * 6, [0.0] * 6, [0.0] * 6, [0.0] * 6], env=env)
         mags = [o.politics_mean_magnitude for o in env.outlets]  # side coin 0: + mode
-        np.testing.assert_array_equal(pipe.p_news, [0.0, 0.0, mags[1], mags[1], mags[2], mags[2]])
+        np.testing.assert_array_equal(
+            news_politics(pipe), [0.0, 0.0, mags[1], mags[1], mags[2], mags[2]]
+        )
 
     def test_a_tie_rejects_and_flips_the_politics(self):
         # Premium partisan at its + mode. Truth 0.8 with both contest draws
@@ -158,11 +180,9 @@ class TestJudgeSteps:
         # with a news draw of 1: all ties, so rejected. Last, an agent bound
         # clamped to 0 (analytic 0.1 minus the full 0.2 discount) loses to
         # any positive news draw and ties with a zero one.
-        pipe = judge(
-            [[0.75] * 3, [0.2] * 3, [0.0] * 3, [0.0, -5.0, -5.0], [0.0, 0.0, 1.0], [0.0] * 3],
-            agent_politics=0.7,
-        )
-        np.testing.assert_array_equal(pipe.x_news, [0.0, 0.0, 0.0])
+        cols = [[0.75] * 3, [0.2] * 3, [0.0] * 3, [0.0, -5.0, -5.0], [0.0, 0.0, 1.0], [0.0] * 3]
+        pipe = judge(cols, agent_politics=0.7)
+        assert_news_draws(cols, [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(pipe.accepted, [False, False, False])
         np.testing.assert_array_equal(pipe.p_judged, [-0.7, -0.7, -0.7])
         clamped = judge(
@@ -179,21 +199,24 @@ class TestJudgeSteps:
         env = MediaEnvironment("m", ME1.weights, outlets)
         rest = [[0.4, 0.4], [-0.2, -0.2], [0.6, 0.6], [0.3, 0.3]]
         centrist = judge([[0.0, 0.0], [0.2, 0.8], *rest], env=env)
-        assert centrist.p_news[0] == pytest.approx(0.5 * 0.4)
+        assert news_politics(centrist)[0] == pytest.approx(0.5 * 0.4)
         for field in centrist:
             assert field[0] == field[1]
         partisan = judge([[0.75, 0.75], [0.2, 0.8], *rest])
-        assert partisan.p_news[0] == pytest.approx(0.7 + 0.3 * 0.4)
-        assert partisan.p_news[1] == pytest.approx(-0.7 + 0.3 * 0.4)
+        p_news = news_politics(partisan)
+        assert p_news[0] == pytest.approx(0.7 + 0.3 * 0.4)
+        assert p_news[1] == pytest.approx(-0.7 + 0.3 * 0.4)
 
     def test_zero_innovations_hit_the_outlet_mode(self):
         # Centrist, partisan on its + side, fake news on its - side; news
         # draw 1 and agent draw 0, so the news draw is the item's truth.
         zeros = [0.0] * 3
-        pipe = judge([[0.0, 0.75, 0.95], [0.2, 0.2, 0.8], zeros, zeros, [1.0] * 3, zeros])
-        np.testing.assert_array_equal(pipe.p_news, [0.0, 0.7, -0.9])
-        np.testing.assert_array_equal(pipe.x_news, [0.8, 0.8, 0.4])
-        np.testing.assert_array_equal(pipe.p_judged, pipe.p_news)
+        cols = [[0.0, 0.75, 0.95], [0.2, 0.2, 0.8], zeros, zeros, [1.0] * 3, zeros]
+        pipe = judge(cols)
+        np.testing.assert_array_equal(news_politics(pipe), [0.0, 0.7, -0.9])
+        assert_news_draws(cols, [0.8, 0.8, 0.4])
+        np.testing.assert_array_equal(pipe.accepted, [True, True, True])
+        np.testing.assert_array_equal(pipe.p_judged, [0.0, 0.7, -0.9])
 
     @pytest.mark.parametrize("sd", [0.25, 0.4, 1e-3])
     def test_factor_at_the_agent_politics_is_the_mode_height(self, sd):
