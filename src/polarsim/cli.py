@@ -17,11 +17,14 @@ the requested numbers apply to every cell. A custom environment's name is
 the stem of its cells' file names, so it must be ASCII letters, digits,
 `_`, `-` and `.`, not starting with `.`.
 
-Cells run in order: quadrature, then the cell's chains, then its artifacts.
-The chains run on min(workers, usable cores, chains) processes. With more
-than one, one process pool serves the whole experiment and every cell's
-chains are queued on it, one batch per process, before the first cell
-starts, so the parent's quadrature and writing overlap later cells' sampling.
+Cells run one after another, counts outer and environments inner (the
+figure's rows and columns); each runs its quadrature, then its chains, then
+its artifacts. A complete run of three counts by three environments then
+draws `figure2.svg`. The chains run on min(workers, usable cores, chains)
+processes. With more than one, one process pool serves the whole experiment
+and every cell's chains are queued on it, one batch per process, before the
+first cell starts, so the parent's quadrature and writing overlap later
+cells' sampling.
 
 The manifest echoes the experiment configuration but not execution details
 (worker count, output directory), and all wall-clock numbers live under the
@@ -35,7 +38,9 @@ The metrics JSON for a cell summarizes the quadrature density when the mode
 computes one, otherwise the sampled histogram.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 runtime
-failure.
+failure. A runtime failure is a cell or the figure that raised; the run
+stops there and still writes the manifest, with `"complete": false`, the
+error naming the cell key or `figure2.svg`, and the cells finished before it.
 """
 
 from __future__ import annotations
@@ -378,30 +383,14 @@ def run_experiment(config: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     want_mcmc = config.mode in ("mcmc", "both", "validate")
     want_oracle = config.mode in ("oracle", "both", "validate")
-
-    n_rows = len(config.observation_counts)
-    n_cols = len(config.environments)
-    hist_grid = [[None] * n_cols for _ in range(n_rows)]
-    overlay_grid = [[None] * n_cols for _ in range(n_rows)]
-    titles = [
-        [f"{env.name} N={n}" for env in config.environments]
-        for n in config.observation_counts
-    ]
+    # Counts outer, environments inner: the figure's rows and columns.
+    order = [(n, env) for n in config.observation_counts for env in config.environments]
 
     started = time.perf_counter()
     cells: dict[str, dict] = {}
+    finished: dict[str, tuple] = {}  # cell key -> (n_obs, env, hist, grid)
     cell_seconds: dict[str, float] = {}
     phases: dict[str, dict[str, float]] = {}
-    # Only validate mode has a tolerance for every count (load_config checks).
-    validation = {
-        "tolerances": (
-            {str(n): TV_TOLERANCES[n] for n in config.observation_counts}
-            if config.mode == "validate"
-            else {}
-        ),
-        "cells": {},
-        "passed": True,
-    }
     failure = None
 
     # With a pool, every cell's chains are queued before the first cell's
@@ -411,96 +400,80 @@ def run_experiment(config: ExperimentConfig) -> int:
     queued: dict[str, typing.Iterator] = {}
     try:
         budgets = {n: config.cell_inference(n) for n in config.observation_counts}
-        n_chains = len(config.environments) * sum(b.n_chains for b in budgets.values())
-        procs = min(config.workers, usable_cores(), n_chains)
+        procs = min(config.workers, usable_cores(), sum(budgets[n].n_chains for n, _ in order))
         if want_mcmc and procs > 1:
             pool = ProcessPoolExecutor(max_workers=procs)
-            for n_obs, budget in budgets.items():
-                for env in config.environments:
-                    queued[f"{env.name}_{n_obs}"] = queue_chains(
-                        pool, procs, env, config.params, n_obs, budget
+            for n_obs, env in order:
+                queued[f"{env.name}_{n_obs}"] = queue_chains(
+                    pool, procs, env, config.params, n_obs, budgets[n_obs]
+                )
+        for n_obs, env in order:
+            cell_key = f"{env.name}_{n_obs}"
+            marks = [time.perf_counter()]
+            try:
+                entry: dict = {}
+                grid = hist = None
+                if want_oracle:
+                    grid = posterior(env, config.params, n_obs, grid_points=config.grid_points)
+                marks.append(time.perf_counter())
+                if want_mcmc:
+                    run = sample_posterior(
+                        env, config.params, n_obs, budgets[n_obs], chains=queued.get(cell_key)
                     )
-        for row, n_obs in enumerate(config.observation_counts):
-            for col, env in enumerate(config.environments):
-                cell_key = f"{env.name}_{n_obs}"
-                marks = [time.perf_counter()]
-                try:
-                    entry: dict = {}
-                    grid = None
-                    hist = None
-                    if want_oracle:
-                        grid = posterior(
-                            env, config.params, n_obs, grid_points=config.grid_points
-                        )
-                    marks.append(time.perf_counter())
-                    if want_mcmc:
-                        run = sample_posterior(
-                            env,
-                            config.params,
-                            n_obs,
-                            budgets[n_obs],
-                            chains=queued.get(cell_key),
-                        )
-                    marks.append(time.perf_counter())
-                    if grid is not None:
-                        write_grid_csv(grid, out / f"{cell_key}_oracle.csv")
-                        entry["oracle_csv"] = f"{cell_key}_oracle.csv"
-                    if want_mcmc:
-                        write_samples_csv(run, out / f"{cell_key}_samples.csv")
-                        hist = bin_samples(run.politics)
-                        write_histogram_csv(hist, out / f"{cell_key}_hist.csv")
-                        entry["samples_csv"] = f"{cell_key}_samples.csv"
-                        entry["hist_csv"] = f"{cell_key}_hist.csv"
-                        entry["kept_samples"] = int(run.politics.size)
-                        entry["acceptance_rate"] = run.acceptance_rate
-                        entry["proposals"] = run.n_proposals
-                        entry["accepted"] = run.n_accepted
-                        entry["flips"] = run.n_flips
-                    metrics = (
-                        metrics_from_grid(grid)
-                        if grid is not None
-                        else metrics_from_histogram(hist)
+                marks.append(time.perf_counter())
+                if want_oracle:
+                    write_grid_csv(grid, out / f"{cell_key}_oracle.csv")
+                    entry["oracle_csv"] = f"{cell_key}_oracle.csv"
+                if want_mcmc:
+                    write_samples_csv(run, out / f"{cell_key}_samples.csv")
+                    hist = bin_samples(run.politics)
+                    write_histogram_csv(hist, out / f"{cell_key}_hist.csv")
+                    entry["samples_csv"] = f"{cell_key}_samples.csv"
+                    entry["hist_csv"] = f"{cell_key}_hist.csv"
+                    entry["kept_samples"] = int(run.politics.size)
+                    entry["acceptance_rate"] = run.acceptance_rate
+                    entry["proposals"] = run.n_proposals
+                    entry["accepted"] = run.n_accepted
+                    entry["flips"] = run.n_flips
+                metrics = metrics_from_grid(grid) if want_oracle else metrics_from_histogram(hist)
+                write_metrics_json(metrics, out / f"{cell_key}_metrics.json")
+                entry["metrics_json"] = f"{cell_key}_metrics.json"
+                if want_oracle and want_mcmc:
+                    entry["tv"] = tv_distance(hist, grid)
+                cells[cell_key] = entry
+                finished[cell_key] = (n_obs, env, hist, grid)
+            except Exception as exc:
+                failure = f"{cell_key}: {exc}"
+            finally:
+                marks.append(time.perf_counter())
+                cell_seconds[cell_key] = round(marks[-1] - marks[0], 3)
+                phases[cell_key] = {
+                    name: round(end - begin, 3)
+                    for name, begin, end in zip(
+                        ("oracle", "sampling_wait", "artifacts"), marks, marks[1:]
                     )
-                    write_metrics_json(metrics, out / f"{cell_key}_metrics.json")
-                    entry["metrics_json"] = f"{cell_key}_metrics.json"
-                    if grid is not None and hist is not None:
-                        entry["tv"] = tv_distance(hist, grid)
-                    if config.mode == "validate":
-                        tolerance = TV_TOLERANCES[n_obs]
-                        passed = entry["tv"] <= tolerance
-                        validation["cells"][cell_key] = {
-                            "tv": entry["tv"],
-                            "tolerance": tolerance,
-                            "passed": passed,
-                        }
-                        if not passed:
-                            validation["passed"] = False
-                    cells[cell_key] = entry
-                    hist_grid[row][col] = hist
-                    overlay_grid[row][col] = grid
-                except Exception as exc:
-                    failure = f"{cell_key}: {exc}"
-                finally:
-                    marks.append(time.perf_counter())
-                    cell_seconds[cell_key] = round(marks[-1] - marks[0], 3)
-                    phases[cell_key] = {
-                        name: round(end - begin, 3)
-                        for name, begin, end in zip(
-                            ("oracle", "sampling_wait", "artifacts"), marks, marks[1:]
-                        )
-                    }
-                if failure:
-                    break
+                }
             if failure:
                 break
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
+    # A complete 3x3 run draws the figure, one row per observation count.
     figure = None
-    if failure is None and n_rows == 3 and n_cols == 3:
-        emit_figure(hist_grid, overlay_grid, out / "figure2.svg", titles)
-        figure = "figure2.svg"
+    if failure is None and len(config.observation_counts) == len(config.environments) == 3:
+        panels = list(finished.values())
+        rows = [panels[i : i + 3] for i in (0, 3, 6)]
+        try:
+            emit_figure(
+                [[hist for _, _, hist, _ in row] for row in rows],
+                [[grid for _, _, _, grid in row] for row in rows],
+                out / "figure2.svg",
+                [[f"{env.name} N={n}" for n, env, _, _ in row] for row in rows],
+            )
+            figure = "figure2.svg"
+        except Exception as exc:
+            failure = f"figure2.svg: {exc}"
 
     manifest = {
         "mode": config.mode,
@@ -517,17 +490,24 @@ def run_experiment(config: ExperimentConfig) -> int:
     }
     if failure is not None:
         manifest["error"] = failure
+    # Only validate mode has a tolerance for every count (load_config checks).
+    checks = {}
     if config.mode == "validate":
-        manifest["validation"] = validation
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+        for cell_key, (n_obs, *_) in finished.items():
+            tv, tolerance = cells[cell_key]["tv"], TV_TOLERANCES[n_obs]
+            checks[cell_key] = {"tv": tv, "tolerance": tolerance, "passed": tv <= tolerance}
+        manifest["validation"] = {
+            "tolerances": {str(n): TV_TOLERANCES[n] for n in config.observation_counts},
+            "cells": checks,
+            "passed": all(check["passed"] for check in checks.values()),
+        }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     if failure is not None:
         print(f"runtime failure: {failure}", file=sys.stderr)
         return 3
-    if config.mode == "validate" and not validation["passed"]:
-        failed = [k for k, v in validation["cells"].items() if not v["passed"]]
+    failed = [cell_key for cell_key, check in checks.items() if not check["passed"]]
+    if failed:
         print(f"validation failed: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0

@@ -79,7 +79,6 @@ class OutletSpec:
     politics_sd: float
     truth_mean: float
     truth_sd: float
-    bimodal: bool
 
     def __post_init__(self) -> None:
         _require_finite(
@@ -93,13 +92,16 @@ class OutletSpec:
                 )
         if self.politics_mean_magnitude < 0:
             raise ValueError("politics_mean_magnitude must be >= 0")
-        if self.bimodal != (self.kind is not OutletKind.PREMIUM_CENTRIST):
-            raise ValueError("bimodal must hold exactly for partisan outlet kinds")
+
+    @property
+    def bimodal(self) -> bool:
+        """Partisan outlets lean either way; the centrist one does not."""
+        return self.kind is not OutletKind.PREMIUM_CENTRIST
 
 
-PREMIUM_CENTRIST = OutletSpec(OutletKind.PREMIUM_CENTRIST, 0.0, 0.5, 0.8, 0.2, bimodal=False)
-PREMIUM_PARTISAN = OutletSpec(OutletKind.PREMIUM_PARTISAN, 0.7, 0.3, 0.8, 0.2, bimodal=True)
-FAKE_NEWS_PARTISAN = OutletSpec(OutletKind.FAKE_NEWS_PARTISAN, 0.9, 0.1, 0.4, 0.5, bimodal=True)
+PREMIUM_CENTRIST = OutletSpec(OutletKind.PREMIUM_CENTRIST, 0.0, 0.5, 0.8, 0.2)
+PREMIUM_PARTISAN = OutletSpec(OutletKind.PREMIUM_PARTISAN, 0.7, 0.3, 0.8, 0.2)
+FAKE_NEWS_PARTISAN = OutletSpec(OutletKind.FAKE_NEWS_PARTISAN, 0.9, 0.1, 0.4, 0.5)
 
 DEFAULT_OUTLETS = (PREMIUM_CENTRIST, PREMIUM_PARTISAN, FAKE_NEWS_PARTISAN)
 

@@ -52,7 +52,15 @@ __all__ = [
 ]
 
 MIN_EMISSION_NODES = 64
-MIN_ANALYTIC_NODES = 32
+
+# The posterior's fixed resolution: its grid spans +-GRID_HALFWIDTH, the
+# politics axis takes POLITICS_NODES per panel, the truth axis TRUTH_NODES and
+# the analytic disposition ANALYTIC_NODES. Only the grid's point count is set
+# per call.
+GRID_HALFWIDTH = 4.0
+POLITICS_NODES = 64
+TRUTH_NODES = 64
+ANALYTIC_NODES = 32
 
 _SPAN_SDS = 6.0  # integration half-width around each emission mean, in sds
 
@@ -113,8 +121,8 @@ def _truth_mass(truth_mean: float, truth_sd: float) -> float:
 
 def _expected_win_probability(
     b_agent: np.ndarray, truth_mean: float, truth_sd: float, truth_nodes: int
-) -> tuple[np.ndarray, float]:
-    """E over truth of the contest win probability, plus the truth mass.
+) -> np.ndarray:
+    """E over truth of the contest win probability.
 
     Integrates truth over [mean - 6 sd, mean + 6 sd]. Negative truth gives a
     zero news bound and never wins, so only the positive part contributes;
@@ -124,10 +132,9 @@ def _expected_win_probability(
     """
     lo = truth_mean - _SPAN_SDS * truth_sd
     hi = truth_mean + _SPAN_SDS * truth_sd
-    mass = _truth_mass(truth_mean, truth_sd)
     t0 = max(0.0, lo)
     if hi <= t0:
-        return np.zeros_like(b_agent), mass
+        return np.zeros_like(b_agent)
 
     x, w = _gl_unit(truth_nodes)
     b_cut = np.clip(b_agent, t0, hi)
@@ -152,7 +159,7 @@ def _expected_win_probability(
     high = (width_high[..., None] * w * smooth).sum(axis=-1)
     high -= half_b * phi_zero * np.log(hi / np.where(b_agent > 0.0, b_cut, hi))
 
-    return low + high, mass
+    return low + high
 
 
 def _xlogx(b: np.ndarray) -> np.ndarray:
@@ -193,7 +200,7 @@ def _win_probability_fit(
     """
 
     def direct(b: np.ndarray) -> np.ndarray:
-        return _expected_win_probability(b, truth_mean, truth_sd, truth_nodes)[0]
+        return _expected_win_probability(b, truth_mean, truth_sd, truth_nodes)
 
     kinks = [0.0]
     if truth_mean - _SPAN_SDS * truth_sd <= 0.0:
@@ -239,8 +246,8 @@ def expected_weight_matrix(
     env: MediaEnvironment,
     params: ModelParams,
     *,
-    politics_nodes: int = 64,
-    truth_nodes: int = 64,
+    politics_nodes: int = POLITICS_NODES,
+    truth_nodes: int = TRUTH_NODES,
 ) -> np.ndarray:
     """Per-item expected likelihood weight on a (politics x analytic) grid.
 
@@ -276,7 +283,7 @@ def expected_weight_matrix(
                 if fit is None:
                     q = _expected_win_probability(
                         b_agent, outlet.truth_mean, outlet.truth_sd, truth_nodes
-                    )[0]
+                    )
                 else:
                     q = fit(b_agent)
                 phi_keep = _norm_pdf(pn3 - pa3, params.likelihood_sd)
@@ -294,8 +301,8 @@ def expected_weight(
     env: MediaEnvironment,
     params: ModelParams,
     *,
-    politics_nodes: int = 64,
-    truth_nodes: int = 64,
+    politics_nodes: int = POLITICS_NODES,
+    truth_nodes: int = TRUTH_NODES,
 ) -> float:
     """Expected per-item likelihood weight for one agent."""
     w = expected_weight_matrix(
@@ -317,7 +324,6 @@ class PosteriorGrid:
     log_density: np.ndarray
     env_name: str
     n_obs: int
-    params: ModelParams
     grid_points: int
     politics_nodes: int
     truth_nodes: int
@@ -336,13 +342,7 @@ class PosteriorGrid:
 
 @lru_cache(maxsize=8)
 def _weight_table(
-    env: MediaEnvironment,
-    params: ModelParams,
-    grid_points: int,
-    grid_halfwidth: float,
-    politics_nodes: int,
-    truth_nodes: int,
-    analytic_nodes: int,
+    env: MediaEnvironment, params: ModelParams, grid_points: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Grid, analytic-node log weights, log per-item weight matrix, and the
     truth-axis method used.
@@ -352,21 +352,14 @@ def _weight_table(
     per-item weight is even in agent politics, so only the rows from the
     grid's middle up are computed; the rest mirror them.
     """
-    grid = np.linspace(-grid_halfwidth, grid_halfwidth, grid_points)
-    x01, w01 = _gl_unit(analytic_nodes)
+    grid = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, grid_points)
+    x01, w01 = _gl_unit(ANALYTIC_NODES)
     lo, hi = params.analytic_low, params.analytic_high
     a_nodes = lo + (hi - lo) * x01
     a_weights = (hi - lo) * w01
-    upper = expected_weight_matrix(
-        grid[grid_points // 2 :],
-        a_nodes,
-        env,
-        params,
-        politics_nodes=politics_nodes,
-        truth_nodes=truth_nodes,
-    )
+    upper = expected_weight_matrix(grid[grid_points // 2 :], a_nodes, env, params)
     w_matrix = np.concatenate((upper[grid_points % 2 :][::-1], upper))
-    truth_axis = _describe_truth_axis(_truth_axis_fits(env, params, a_nodes, truth_nodes))
+    truth_axis = _describe_truth_axis(_truth_axis_fits(env, params, a_nodes, TRUTH_NODES))
     return grid, np.log(a_weights), np.log(w_matrix), truth_axis
 
 
@@ -386,10 +379,6 @@ def posterior(
     n_obs: int,
     *,
     grid_points: int = 801,
-    grid_halfwidth: float = 4.0,
-    politics_nodes: int = 64,
-    truth_nodes: int = 64,
-    analytic_nodes: int = 32,
 ) -> PosteriorGrid:
     """Quadrature posterior of agent politics after ``n_obs`` observations.
 
@@ -399,15 +388,11 @@ def posterior(
     """
     if n_obs < 0:
         raise ValueError("n_obs must be >= 0")
-    if analytic_nodes < MIN_ANALYTIC_NODES:
-        raise ValueError(f"analytic quadrature needs >= {MIN_ANALYTIC_NODES} nodes")
     if grid_points < 3:
         raise ValueError("grid needs at least 3 points")
 
     lo, hi = params.analytic_low, params.analytic_high
-    grid, log_a_weights, log_w_matrix, truth_axis = _weight_table(
-        env, params, grid_points, grid_halfwidth, politics_nodes, truth_nodes, analytic_nodes
-    )
+    grid, log_a_weights, log_w_matrix, truth_axis = _weight_table(env, params, grid_points)
     # Integrate the analytic disposition out in log space. The per-item
     # weight can underflow to 0 far out in its tails; the NaN density that
     # follows is caught below.
@@ -431,12 +416,12 @@ def posterior(
         raise ValueError(
             "quadrature density is not finite: the per-item weight underflows to 0 "
             f"on the grid, as it does when model.likelihood_sd ({params.likelihood_sd!r}) "
-            f"is too small for the {politics_nodes}-node politics rule"
+            f"is too small for the {POLITICS_NODES}-node politics rule"
         )
 
     # Outside the grid the per-item weight keeps falling, so the boundary
     # marginal times the prior tail bounds the unseen mass.
-    log_prior_tail = _log_norm_tail(grid_halfwidth / params.prior_politics_sd)
+    log_prior_tail = _log_norm_tail(GRID_HALFWIDTH / params.prior_politics_sd)
     log_norm_total = shift + math.log(norm)
     tail = 0.0
     for edge in (0, -1):
@@ -447,11 +432,10 @@ def posterior(
         log_density=log_density,
         env_name=env.name,
         n_obs=n_obs,
-        params=params,
         grid_points=grid_points,
-        politics_nodes=politics_nodes,
-        truth_nodes=truth_nodes,
-        analytic_nodes=analytic_nodes,
+        politics_nodes=POLITICS_NODES,
+        truth_nodes=TRUTH_NODES,
+        analytic_nodes=ANALYTIC_NODES,
         tail_mass_bound=float(tail),
         truth_axis=truth_axis,
     )

@@ -133,7 +133,7 @@ def test_criterion_3_truth_probability_monte_carlo():
     draws = 10**6
     worst = 0.0
     for truth_mean, truth_sd in profiles:
-        expected = oracle._expected_win_probability(levels, truth_mean, truth_sd, 64)[0]
+        expected = oracle._expected_win_probability(levels, truth_mean, truth_sd, 64)
         for b_agent, p_win in zip(levels, expected):
             truth = rng.normal(truth_mean, truth_sd, draws)
             x_news = rng.random(draws) * np.maximum(truth, 0.0)

@@ -346,17 +346,18 @@ class TestExitCodes:
     def test_missing_subcommand_is_usage_error(self):
         assert run_cli() == 2
 
+    @pytest.mark.parametrize("mode", ["mcmc", "validate"])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_runtime_failure_writes_partial_manifest(
-        self, tmp_path, monkeypatch, capsys, workers
+        self, tmp_path, monkeypatch, capsys, workers, mode
     ):
         monkeypatch.setattr(cli, "usable_cores", lambda: 2)
         out = tmp_path / "o"
         out.mkdir()
         (out / "ME1_10_samples.csv").mkdir()
         code = run_cli(
-            "mcmc", "--env", "ME1", "--observations", "1", "10",
-            "--chains", "4", "--iters", "50", "--burn-in", "10",
+            mode, "--env", "ME1", "--observations", "1", "10",
+            "--chains", "4", "--iters", "50", "--burn-in", "10", "--grid-points", "41",
             "--workers", workers, "--out", str(out),
         )
         assert code == 3
@@ -365,8 +366,33 @@ class TestExitCodes:
         assert "ME1_10" in manifest["error"]
         assert list(manifest["cells"]) == ["ME1_1"]
         assert (out / "ME1_1_samples.csv").is_file()
+        if mode == "validate":
+            validation = manifest["validation"]
+            assert list(validation["cells"]) == ["ME1_1"]
+            assert validation["cells"]["ME1_1"]["tv"] == manifest["cells"]["ME1_1"]["tv"]
+            assert validation["tolerances"] == {"1": 0.03, "10": 0.05}
+        else:
+            assert "validation" not in manifest
         assert "runtime failure" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+    def test_figure_failure_writes_partial_manifest(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["oracle", "--observations", "1", "10", "100", "--grid-points", "41"]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert read_manifest(out)["figure"] == "figure2.svg"
+        (out / "figure2.svg").unlink()
+        (out / "figure2.svg").mkdir()
+        capsys.readouterr()
+        code = run_cli(*argv, "--seed", "9", "--out", str(out))
+        assert code == 3
+        manifest = read_manifest(out)
+        assert manifest["seed"] == 9
+        assert manifest["complete"] is False
+        assert manifest["figure"] is None
+        assert manifest["error"].startswith("figure2.svg: ")
+        assert len(manifest["cells"]) == 9
+        assert "runtime failure: figure2.svg" in capsys.readouterr().err
 
 
 class TestPoolSize:

@@ -60,15 +60,9 @@ class TestEnvironments:
 
 
 class TestOutletSpecValidation:
-    def test_bimodal_flag_tied_to_kind(self):
-        with pytest.raises(ValueError):
-            OutletSpec(OutletKind.PREMIUM_CENTRIST, 0.0, 0.5, 0.8, 0.2, bimodal=True)
-        with pytest.raises(ValueError):
-            OutletSpec(OutletKind.FAKE_NEWS_PARTISAN, 0.9, 0.1, 0.4, 0.5, bimodal=False)
-
     def test_sd_must_be_positive(self):
         with pytest.raises(ValueError):
-            OutletSpec(OutletKind.PREMIUM_PARTISAN, 0.7, 0.0, 0.8, 0.2, bimodal=True)
+            OutletSpec(OutletKind.PREMIUM_PARTISAN, 0.7, 0.0, 0.8, 0.2)
 
     @pytest.mark.parametrize("sd", ["politics_sd", "truth_sd"])
     @pytest.mark.parametrize("tiny", [1e-300, 1e-17, 1e-12, 0.99e-9])

@@ -51,9 +51,10 @@ def direct_weight_matrix(p_a, a_a, env, params, nodes=64):
                 pn = p_news[None, :]
                 discount = params.discount_scale * params.discount_base ** np.abs(pn - pa)
                 b_agent = np.maximum(0.0, a_a[:, None] - discount)
-                q, mass = oracle._expected_win_probability(
+                q = oracle._expected_win_probability(
                     b_agent, outlet.truth_mean, outlet.truth_sd, nodes
                 )
+                mass = oracle._truth_mass(outlet.truth_mean, outlet.truth_sd)
                 keep = norm_pdf(pn - pa, params.likelihood_sd)
                 flip = norm_pdf(-pn - pa, params.likelihood_sd)
                 out[row] += share * ((q * keep + (mass - q) * flip) * g_p).sum(axis=-1)
@@ -133,7 +134,7 @@ class TestTruthAxis:
     def test_direct_rule_matches_adaptive_quadrature_near_zero_bound(
         self, truth_mean, truth_sd, b
     ):
-        q, _ = oracle._expected_win_probability(np.array([b]), truth_mean, truth_sd, 64)
+        q = oracle._expected_win_probability(np.array([b]), truth_mean, truth_sd, 64)
         assert float(q[0]) == pytest.approx(
             quad_win_probability(b, truth_mean, truth_sd), abs=1e-13
         )
@@ -147,7 +148,7 @@ class TestTruthAxis:
             assert fit is not None
             assert fit.max_err <= 1e-14
             b = np.linspace(b_low, b_high, 10_007)
-            exact, _ = oracle._expected_win_probability(b, truth_mean, truth_sd, 64)
+            exact = oracle._expected_win_probability(b, truth_mean, truth_sd, 64)
             assert float(np.max(np.abs(fit(b) - exact))) <= 1e-13
 
     def test_builtin_environments_use_the_interpolant(self):
@@ -201,10 +202,8 @@ class TestTruthAxis:
 
     @pytest.mark.parametrize("grid_points", [20, 21])
     def test_mirrored_table_matches_full_grid(self, grid_points):
-        grid, log_a_weights, log_w, truth_axis = oracle._weight_table(
-            ME2, PARAMS, grid_points, 4.0, 64, 64, 32
-        )
-        x01, _ = oracle._gl_unit(32)
+        grid, log_a_weights, log_w, truth_axis = oracle._weight_table(ME2, PARAMS, grid_points)
+        x01, _ = oracle._gl_unit(oracle.ANALYTIC_NODES)
         analytic = PARAMS.analytic_low + (PARAMS.analytic_high - PARAMS.analytic_low) * x01
         full = oracle.expected_weight_matrix(grid, analytic, ME2, PARAMS)
         assert log_w.shape == (grid_points, 32)
@@ -281,8 +280,6 @@ class TestPosterior:
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             oracle.posterior(ME1, PARAMS, -1)
-        with pytest.raises(ValueError):
-            oracle.posterior(ME1, PARAMS, 1, analytic_nodes=8)
         with pytest.raises(ValueError):
             oracle.posterior(ME1, PARAMS, 1, grid_points=2)
 

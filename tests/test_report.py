@@ -24,7 +24,6 @@ def toy_grid(x, density, env_name="toy", n_obs=0):
         log_density=np.log(np.maximum(density / norm, 1e-300)),
         env_name=env_name,
         n_obs=n_obs,
-        params=PARAMS,
         grid_points=x.size,
         politics_nodes=0,
         truth_nodes=0,
