@@ -22,9 +22,13 @@ figure's rows and columns); each runs its quadrature, then its chains, then
 its artifacts. A complete run of three counts by three environments then
 draws `figure2.svg`. The chains run on min(workers, usable cores, chains)
 processes. With more than one, one process pool serves the whole experiment
-and every cell's chains are queued on it, one batch per process, before the
-first cell starts, so the parent's quadrature and writing overlap later
-cells' sampling.
+and every cell's chains are queued on it before the first cell starts, so
+the parent's quadrature and writing overlap later cells' sampling. A cell
+is cut into batches by its share of the run's scans (`cell_batches`).
+Before the first cell, the run removes the regular files it owns from an
+earlier run in the same directory (the manifest, the figure and every
+cell's four artifact files), so what is left there is what the manifest
+lists.
 
 The manifest echoes the experiment configuration but not execution details
 (worker count, output directory), and all wall-clock numbers live under the
@@ -81,6 +85,7 @@ from polarsim.report import (
     write_histogram_csv,
     write_metrics_json,
 )
+from polarsim.trace import address_count
 
 __all__ = [
     "ExperimentConfig",
@@ -90,6 +95,7 @@ __all__ = [
     "load_config",
     "config_to_json",
     "run_experiment",
+    "cell_batches",
     "usable_cores",
     "main",
 ]
@@ -377,6 +383,21 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def cell_batches(procs: int, cells: "list[tuple[int, InferenceConfig]]") -> list[int]:
+    """How many batches to cut each cell's chains into, for ``cells`` given
+    as (observation count, budget) and queued on ``procs`` processes.
+
+    A lock-step scan costs about the same whatever the batch width, so a
+    cell's cost is its scan count, iterations / (6N + 2), and a cell cut k
+    ways costs about k times as much. Each cell gets its share of the
+    processes by scan count, rounded, and at least one batch; the pool then
+    runs the queued batches as processes free up.
+    """
+    scans = [budget.iterations / address_count(n_obs) for n_obs, budget in cells]
+    total = sum(scans)
+    return [max(1, round(procs * share / total)) for share in scans]
+
+
 def run_experiment(config: ExperimentConfig) -> int:
     """Run every cell, write artifacts and the manifest, return exit code."""
     out = config.out_dir
@@ -385,6 +406,15 @@ def run_experiment(config: ExperimentConfig) -> int:
     want_oracle = config.mode in ("oracle", "both", "validate")
     # Counts outer, environments inner: the figure's rows and columns.
     order = [(n, env) for n in config.observation_counts for env in config.environments]
+    # An earlier run's files would sit here unlisted by this run's manifest.
+    owned = ["manifest.json", "figure2.svg"] + [
+        f"{env.name}_{n}_{suffix}"
+        for n, env in order
+        for suffix in ("oracle.csv", "samples.csv", "hist.csv", "metrics.json")
+    ]
+    for name in owned:
+        if (out / name).is_file():
+            (out / name).unlink()
 
     started = time.perf_counter()
     cells: dict[str, dict] = {}
@@ -403,9 +433,10 @@ def run_experiment(config: ExperimentConfig) -> int:
         procs = min(config.workers, usable_cores(), sum(budgets[n].n_chains for n, _ in order))
         if want_mcmc and procs > 1:
             pool = ProcessPoolExecutor(max_workers=procs)
-            for n_obs, env in order:
+            counts = cell_batches(procs, [(n_obs, budgets[n_obs]) for n_obs, _ in order])
+            for (n_obs, env), batches in zip(order, counts):
                 queued[f"{env.name}_{n_obs}"] = queue_chains(
-                    pool, procs, env, config.params, n_obs, budgets[n_obs]
+                    pool, batches, env, config.params, n_obs, budgets[n_obs]
                 )
         for n_obs, env in order:
             cell_key = f"{env.name}_{n_obs}"

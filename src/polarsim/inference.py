@@ -375,27 +375,27 @@ def run_chains(
 
 def queue_chains(
     pool: Executor,
-    workers: int,
+    batches: int,
     env: MediaEnvironment,
     params: ModelParams,
     n_obs: int,
     config: InferenceConfig,
 ) -> Iterator[ChainResult]:
-    """Submit every chain of one cell to ``pool`` now, as up to ``workers``
-    contiguous batches of ceil(n_chains / workers) chains (``run_chains``).
+    """Submit every chain of one cell to ``pool`` now, as up to ``batches``
+    contiguous batches of ceil(n_chains / batches) chains (``run_chains``).
 
     Returns the chains' results in chain order as they are read, which
     waits for each batch; pass it to ``sample_posterior`` as ``chains``.
     Cells queued on one pool run in the order they were queued.
     """
-    size = -(-config.n_chains // workers)
-    batches = [
+    size = -(-config.n_chains // batches)
+    futures = [
         pool.submit(
             run_chains, env, params, n_obs, config, range(lo, min(lo + size, config.n_chains))
         )
         for lo in range(0, config.n_chains, size)
     ]
-    return (result for batch in batches for result in batch.result())
+    return (result for future in futures for result in future.result())
 
 
 def sample_posterior(
@@ -426,7 +426,21 @@ def sample_posterior(
 
 
 def write_samples_csv(sample_set: SampleSet, path: "str | Path") -> None:
-    """Dump the kept politics samples, one column, one header line."""
-    lines = ["p_a"]
-    lines.extend(f"{float(v)!r}" for v in sample_set.politics)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Dump the kept politics samples, one column, one header line.
+
+    A rejected proposal keeps the chain's value, so kept samples repeat in
+    runs; each run of bit-identical values (so 0.0 and -0.0 stay apart) is
+    formatted once and its line repeated.
+    """
+    politics = sample_set.politics
+    bits = politics.view(np.int64)
+    changed = np.ones(politics.size, dtype=bool)
+    changed[1:] = bits[1:] != bits[:-1]
+    starts = np.flatnonzero(changed)
+    lengths = np.diff(np.append(starts, politics.size))
+    lines = ["p_a\n"]
+    lines.extend(
+        f"{value!r}\n" * length
+        for value, length in zip(politics[starts].tolist(), lengths.tolist())
+    )
+    Path(path).write_text("".join(lines))

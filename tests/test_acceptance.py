@@ -66,18 +66,21 @@ def cell_metrics(grids):
 
 @pytest.fixture(scope="module")
 def runs():
-    # All nine cells share one pool. Samples are byte-identical for every
-    # worker count (criterion 7), so the checks see the same numbers
-    # whatever the number of cores.
+    # All nine cells share one pool, cut into batches as `polarsim run`
+    # cuts them. Samples are byte-identical for every worker count
+    # (criterion 7), so the checks see the same numbers whatever the number
+    # of cores.
     workers = min(2, cli.usable_cores())
     config = cli.load_config(cli.build_parser().parse_args(["run"]))
     cells = {
         (name, n): (ENVIRONMENTS[name], PARAMS, n, config.cell_inference(n))
         for name, n in CELLS
     }
+    counts = cli.cell_batches(workers, [(n, budget) for _, _, n, budget in cells.values()])
     with ProcessPoolExecutor(max_workers=workers) as pool:
         queued = {
-            cell: inference.queue_chains(pool, workers, *args) for cell, args in cells.items()
+            cell: inference.queue_chains(pool, batches, *args)
+            for (cell, args), batches in zip(cells.items(), counts)
         }
         return {
             cell: inference.sample_posterior(*args, chains=queued[cell])

@@ -394,11 +394,33 @@ class TestExitCodes:
         assert len(manifest["cells"]) == 9
         assert "runtime failure: figure2.svg" in capsys.readouterr().err
 
+    def test_failed_rerun_leaves_only_listed_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["oracle", "--observations", "1", "10", "100", "--grid-points", "41"]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        (out / "ME2_10_oracle.csv").unlink()
+        (out / "ME2_10_oracle.csv").mkdir()
+        assert run_cli(*argv, "--seed", "3", "--out", str(out)) == 3
+        manifest = read_manifest(out)
+        assert manifest["error"].startswith("ME2_10: ")
+        assert manifest["figure"] is None
+        assert set(manifest["cells"]) == {"ME1_1", "ME2_1", "ME3_1", "ME1_10"}
+        listed = {"manifest.json"} | {
+            name
+            for cell in manifest["cells"].values()
+            for name in cell.values()
+            if isinstance(name, str)
+        }
+        assert {path.name for path in out.iterdir() if path.is_file()} == listed
+        # A directory in an artifact's place is not removed; it fails the cell.
+        assert (out / "ME2_10_oracle.csv").is_dir()
+
 
 class TestPoolSize:
     """`run_experiment` opens a pool of min(workers, usable cores, chains)
-    processes when that is above 1, and cuts each cell into that many
-    batches."""
+    processes when that is above 1, and cuts each cell into
+    `cli.cell_batches` batches: its share of the processes by scan count,
+    at least one."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -435,6 +457,39 @@ class TestPoolSize:
         monkeypatch.setattr(cli, "usable_cores", lambda: 2)
         assert self.mcmc(tmp_path / "o", "16", "8") == 0
         assert pools == {"sizes": [2], "batches": [8, 8]}
+
+    def test_equal_cells_run_as_whole_batches(self, tmp_path, monkeypatch, pools):
+        monkeypatch.setattr(cli, "usable_cores", lambda: 2)
+        argv = [
+            "mcmc", "--env", "ME1", "--env", "ME3", "--observations", "10",
+            "--chains", "6", "--iters", "620", "--burn-in", "62", "--seed", "5",
+        ]
+        assert run_cli(*argv, "--workers", "2", "--out", str(tmp_path / "a")) == 0
+        assert pools == {"sizes": [2], "batches": [6, 6]}
+        assert run_cli(*argv, "--workers", "1", "--out", str(tmp_path / "b")) == 0
+        assert_same_artifacts(tmp_path / "a", tmp_path / "b")
+
+    def test_only_the_long_cell_is_split(self, tmp_path, monkeypatch, pools):
+        """ME2 at 1, 10 and 100 observations: the N = 100 cell holds 83% of
+        the default budgets' scans, so at 2 processes it alone is cut in
+        two. Only the chain counts are cut, to keep the test short; the
+        split depends on the iterations alone."""
+        defaults = [(n, InferenceConfig(**cli.DEFAULT_SCHEDULE[n])) for n in (1, 10, 100)]
+        assert cli.cell_batches(2, defaults) == [1, 1, 2]
+        monkeypatch.setattr(cli, "usable_cores", lambda: 2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "environments": ["ME2"],
+            "observation_counts": [1, 10, 100],
+            "inference_by_n": {
+                str(n): {**budget, "n_chains": 2} for n, budget in cli.DEFAULT_SCHEDULE.items()
+            },
+        }))
+        argv = ["mcmc", "--config", str(config), "--seed", "5"]
+        assert run_cli(*argv, "--workers", "2", "--out", str(tmp_path / "a")) == 0
+        assert pools == {"sizes": [2], "batches": [2, 2, 1, 1]}
+        assert run_cli(*argv, "--workers", "1", "--out", str(tmp_path / "b")) == 0
+        assert_same_artifacts(tmp_path / "a", tmp_path / "b")
 
     def test_one_core_opens_no_pool(self, tmp_path, monkeypatch, pools):
         monkeypatch.setattr(cli, "usable_cores", lambda: 1)

@@ -2,10 +2,13 @@
 
 import json
 import math
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polarsim import inference, oracle, report
 from polarsim.model import ME1, ME2, ME3, ModelParams
@@ -312,6 +315,35 @@ class TestSamplesCsv:
         np.testing.assert_array_equal(
             np.array([float(v) for v in lines[1:]]), run.politics
         )
+
+    # Runs of one value, so the writer's run-length path is exercised; any
+    # float64, subnormals, signed zeros and non-finite values included.
+    runs = st.lists(
+        st.tuples(st.floats(width=64), st.integers(min_value=1, max_value=300)),
+        min_size=1,
+        max_size=20,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs)
+    @example([(0.5, 1)])
+    @example([(0.0, 3), (-0.0, 2), (0.0, 1)])
+    @example([(5e-324, 4), (-5e-324, 1), (2.2250738585072009e-308, 2)])
+    @example([(0.1, 100_000)])
+    def test_writes_one_repr_per_sample(self, runs):
+        politics = np.repeat([v for v, _ in runs], [n for _, n in runs])
+        # SampleSet.politics is the strided first column of the samples.
+        samples = np.column_stack([politics, np.arange(politics.size, dtype=float)])
+        sample_set = inference.SampleSet(
+            samples=samples, n_proposals=0, n_accepted=0, n_flips=0
+        )
+        assert sample_set.politics.strides == samples.strides[:1]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "samples.csv"
+            inference.write_samples_csv(sample_set, path)
+            written = path.read_bytes()
+        expected = "p_a\n" + "\n".join(map(repr, sample_set.politics.tolist())) + "\n"
+        assert written == expected.encode()
 
 
 class TestFigure:
