@@ -113,7 +113,7 @@ DEFAULT_OBSERVATION_COUNTS = (1, 10, 100)
 DEFAULT_SCHEDULE: dict[int, dict[str, int]] = {
     1: {"n_chains": 256, "iterations": 3_100, "burn_in": 100, "thin": 3},
     10: {"n_chains": 128, "iterations": 40_000, "burn_in": 8_000, "thin": 16},
-    100: {"n_chains": 16, "iterations": 3_000_000, "burn_in": 1_000_000, "thin": 150},
+    100: {"n_chains": 16, "iterations": 750_000, "burn_in": 150_000, "thin": 48},
 }
 
 
@@ -466,6 +466,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                     entry["proposals"] = run.n_proposals
                     entry["accepted"] = run.n_accepted
                     entry["flips"] = run.n_flips
+                    entry["acceptance_by_branch"] = run.acceptance_by_branch
                 metrics = metrics_from_grid(grid) if want_oracle else metrics_from_histogram(hist)
                 write_metrics_json(metrics, out / f"{cell_key}_metrics.json")
                 entry["metrics_json"] = f"{cell_key}_metrics.json"

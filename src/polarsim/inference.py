@@ -1,24 +1,13 @@
-"""Metropolis-Hastings over flat trace values, by a systematic scan.
+"""Metropolis-within-Gibbs over flat trace values, by a systematic scan.
 
-One scan proposes at every site once: the two agent sites one at a time,
-then each of the six step columns at all N steps, and after a full scan a
-mirror flip that exchanges the two politics modes. Given the agent the
-steps are conditionally independent, so each step of a column is accepted
-on its own.
-
-``run_chains`` is the one kernel: it runs a batch of chains in lock-step,
-one NumPy pass per site for the whole batch, with one update for both
-agent sites, and with the likelihood off every log factor is 0. Every
-chain keeps its own generator and takes the same draws in any batch, so it
-is the same chain bit for bit whatever batch it runs in: a chain's
-trajectory is a pure function of its seed, and its memory does not grow
-with its length.
-
-Chain seeds are derived from the experiment seed with a splitmix64 mix, and
-samples are concatenated in chain order, so results are identical whether
-chains run serially or in a process pool. This module opens no pool:
-``queue_chains`` puts a cell's chains on a pool the caller owns, cut into
-as many batches as the caller asks, so one pool can serve many cells.
+A scan updates the two agent sites by Metropolis-Hastings, then each step's
+six-site block by conditional importance resampling (i-SIR, Andrieu, Lee &
+Vihola 2018), then makes a mirror flip of the two politics modes.
+``run_chains`` runs a batch of chains in lock-step, each with its own
+generator and seed (a splitmix64 mix of the experiment seed), so a chain
+is the same in any batch and results do not depend on the worker count.
+This module opens no pool: ``queue_chains`` puts a cell's chains on a pool
+the caller owns.
 """
 
 from __future__ import annotations
@@ -39,12 +28,13 @@ from polarsim.trace import (
     address_count,
     init_trace,
     judge_steps,
-    normal_site_mask,
     pipeline_from_values,
     reflect_units,
 )
 
 __all__ = [
+    "BRANCHES",
+    "CANDIDATES",
     "InferenceConfig",
     "ChainResult",
     "SampleSet",
@@ -57,6 +47,12 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# Fresh prior draws of a step's block that each block update chooses among,
+# with the current block.
+CANDIDATES = 2
+# The kernel branches whose proposals and accepted ones are counted apart.
+BRANCHES = ("agent_politics", "agent_analytic", "step_blocks")
 
 
 def derive_chain_seed(seed: int, chain_index: int) -> int:
@@ -75,13 +71,13 @@ def derive_chain_seed(seed: int, chain_index: int) -> int:
 class InferenceConfig:
     """Sampler budget and kernel mixture for one experiment cell.
 
-    ``prior_prob`` is the chance a site proposal resamples from the unit
-    prior instead of random-walking. After each full scan of 6N + 2 site
-    proposals a mirror flip is made with probability
-    (1 - (1 - 2 ``flip_prob``)^(6N + 2)) / 2, the chance of an odd number
-    of flips if each proposal were replaced by a flip with probability
-    ``flip_prob``; 0 makes no flips. ``disable_likelihood`` zeroes every
-    step factor so chains target the prior exactly.
+    ``prior_prob`` is the chance an agent proposal resamples from the unit
+    prior instead of walking with scale ``walk_scale``; with the likelihood
+    on and N >= 1, agent politics only walks, at a scale set by the model
+    (``run_chains``). Step blocks take neither key. A mirror flip follows a
+    full scan of 6N + 2 iterations with probability (1 - (1 - 2
+    ``flip_prob``)^(6N + 2)) / 2; 0 makes none. ``disable_likelihood``
+    zeroes every step factor so chains target the prior exactly.
     """
 
     n_chains: int = 256
@@ -120,20 +116,21 @@ class InferenceConfig:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Kept draws of one chain plus its final state for auditing.
+    """Kept draws of one chain plus its final state (in layout order).
 
-    ``samples`` has one row per kept iteration with columns (agent politics,
-    agent analytic). Every iteration is one site proposal, so
-    ``n_proposals`` equals the iterations; ``n_accepted`` counts the
-    accepted ones. ``n_flips`` counts the mirror flips proposed after full
-    scans, which are not site proposals; it includes a scored flip that
-    Metropolis-Hastings rejects.
+    ``samples`` has one row per kept iteration: (agent politics, agent
+    analytic). ``n_proposals`` equals the iterations; ``n_accepted`` counts
+    a moved block, six iterations, as six. The ``*_by_branch`` counts are
+    per ``BRANCHES``, a block update as one. ``n_flips`` counts the mirror
+    flips proposed, with scored ones that Metropolis-Hastings rejects.
     """
 
     samples: np.ndarray
     n_proposals: int
     n_accepted: int
     n_flips: int
+    proposed_by_branch: tuple[int, ...]
+    accepted_by_branch: tuple[int, ...]
     final_values: np.ndarray
     final_log_weight: float
     chain_seed: int
@@ -148,10 +145,20 @@ class SampleSet:
     n_proposals: int
     n_accepted: int
     n_flips: int
+    proposed_by_branch: tuple[int, ...]
+    accepted_by_branch: tuple[int, ...]
 
     @property
     def acceptance_rate(self) -> float:
         return self.n_accepted / self.n_proposals if self.n_proposals else 0.0
+
+    @property
+    def acceptance_by_branch(self) -> dict[str, dict]:
+        """Each of ``BRANCHES``' proposals, accepted ones and their ratio."""
+        return {
+            name: {"proposed": p, "accepted": a, "rate": a / p if p else 0.0}
+            for name, p, a in zip(BRANCHES, self.proposed_by_branch, self.accepted_by_branch)
+        }
 
     @property
     def politics(self) -> np.ndarray:
@@ -182,109 +189,102 @@ def run_chains(
 ) -> list[ChainResult]:
     """The chains of ``indices``, run in lock-step by the systematic scan.
 
-    Each chain draws its start (``init_trace``) from its own generator, and
-    the start is scored by one ``pipeline_from_values`` pass. One scan
-    proposes at every site once, as 6N + 2 iterations: agent politics,
-    agent analytic (each rescoring all N steps), then each of the six step
-    columns in layout order, each step accepted on its own. A site proposal
-    is a prior resample with probability ``prior_prob``, else a walk of
-    ``walk_scale`` (reflected into [0, 1] at a uniform site, with the
-    Gaussian prior correction at a normal one). The last scan stops
-    mid-column when the iterations run out; a kept sample is the agent state
-    after its iteration, and the keep rule reads only the iteration, so all
-    chains keep at the same iterations.
+    Each chain draws its start (``init_trace``) from its own generator and
+    scores it by one ``pipeline_from_values`` pass. A scan is 6N + 2
+    iterations: agent politics, agent analytic, then six for each step's
+    block in turn. The last scan updates a block only if all six of its
+    iterations fit. A kept sample is the agent after its iteration.
 
-    After each full scan a chain makes a mirror flip with probability
-    (1 - (1 - 2 flip_prob)^(6N + 2)) / 2. It preserves every step factor
-    unless a side coin is exactly 0.5; then that chain's flipped state is
-    scored on its own and accepted by MH.
+    - An agent proposal rescores all N steps and is accepted by MH. It is a
+      prior resample with probability ``prior_prob``, else a walk of
+      ``walk_scale``, reflected into [0, 1] at agent analytic and with the
+      Gaussian prior correction at agent politics. With the likelihood on
+      and N >= 1, agent politics only walks, with scale 2.4 ``likelihood_sd``
+      / (sqrt(N) ``prior_politics_sd``), the 1-D optimal scale for its
+      conditional sd (Roberts, Gelman & Gilks 1997).
+    - A step's block becomes one of itself and ``CANDIDATES`` fresh prior
+      draws, chosen in proportion to their step factors, with the log
+      weights normalised by their maximum. This leaves the step's
+      conditional invariant.
+    - After each full scan a chain makes a mirror flip with probability
+      (1 - (1 - 2 flip_prob)^(6N + 2)) / 2. It keeps every step factor
+      unless a side coin is exactly 0.5; then the flipped state is scored
+      and accepted by MH.
 
-    Each scan, every chain draws from its own generator 3 (6N + 2) + 2
-    uniforms in one call, into its row of a (C, 3 (6N + 2) + 2) buffer: the
-    prior-or-walk coins, the uniform prior values and the accept draws, one
-    per iteration each, then the flip coin and its accept draw. Then 6N + 2
-    standard normals into its row of a (C, 6N + 2) buffer, for the normal
-    prior values and walk steps. So a chain's draws, and its decisions, do
-    not depend on the batch it is in: chain i is the same bit for bit
-    whatever batch it is run in.
+    Each scan, every chain fills its row of a (C, 7 + (4K + 1) N) uniform
+    buffer, K = ``CANDIDATES``, and of a (C, 2 + 2 K N) normal buffer, one
+    generator call each, so chain i is the same bit for bit in any batch.
+    The uniforms: the agent sites' prior-or-walk coins, agent analytic's
+    prior value, the agent sites' accept draws, the candidates' uniform
+    sites as (N, K, 4), a pick draw per step, the flip coin and its accept
+    draw. The normals: agent politics' prior value or walk step, agent
+    analytic's walk step, the candidates' normal sites as (N, K, 2).
 
-    Each chain's values are a row of a (C, 6N + 2) array in scan order (the
-    agent sites, then the steps column by column), so a row lines up with
-    its draws; the steps are scored as six (C, N) columns with (C, N) log
-    factors, and the agent is a (C, 2) array whose (C, 1) columns broadcast
-    against them. Every site is one NumPy pass over the batch: one
-    ``judge_steps`` call scores an agent proposal or a step column of every
-    chain. With the likelihood off (``disable_likelihood``, or no
-    observations) every log factor is 0 and nothing is scored. Memory is
-    O(chains x (n_obs + kept samples)), not O(iterations). The incremental
-    log weight is cross-checked against a full replay in the test suite.
+    The values are a (C, 6N + 2) array in layout order, the agents a (C, 2)
+    array. One ``judge_steps`` call scores an agent proposal, or the
+    (K, C, N) candidates, of all chains. With the likelihood off
+    (``disable_likelihood``, or no observations) every log factor is 0.
     """
     seeds = [derive_chain_seed(config.seed, i) for i in indices]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     values = [init_trace(n_obs, rng) for rng in rngs]
     starts = [pipeline_from_values(v, n_obs, env, params) for v in values]
-    chains, n, length = len(rngs), n_obs, address_count(n_obs)
+    chains, n, k, length = len(rngs), n_obs, CANDIDATES, address_count(n_obs)
     env_arrays = _env_arrays(env)
-    # The layout index of each site, in scan order.
-    order = np.concatenate(([0, 1], 2 + np.arange(6 * n).reshape(n, 6).T.ravel()))
-    state = np.array(values).take(order, axis=1)
-    # Views of the steps of ``state``: six (C, N) columns.
-    block = list(state[:, 2:].reshape(chains, 6, n).transpose(1, 0, 2))
-    normal = normal_site_mask(n)[order]
-    # Agent politics and agent analytic.
-    agent = np.array([s[:2] for s in starts])
-    u_draws = np.empty((chains, 3 * length + 2))
-    z_draws = np.empty((chains, length))
-    u_accept = u_draws[:, 2 * length : 3 * length]
+    state = np.array(values)
+    steps = state[:, 2:].reshape(chains, n, 6)
+    step_cols = np.moveaxis(steps, -1, 0)
+    chain_at, step_at = np.ogrid[:chains, :n]  # with a (C, N) pick, one block per step
+    agent = np.array([s[:2] for s in starts])  # agent politics, agent analytic
+    u_draws = np.empty((chains, 7 + (4 * k + 1) * n))
+    z_draws = np.empty((chains, 2 + 2 * k * n))
+    cand_u = u_draws[:, 5 : 5 + 4 * k * n].reshape(chains, n, k, 4).transpose(2, 0, 1, 3)
+    cand_z = z_draws[:, 2:].reshape(chains, n, k, 2).transpose(2, 0, 1, 3)
+    u_pick = u_draws[:, 5 + 4 * k * n : 5 + (4 * k + 1) * n]
 
-    if config.disable_likelihood or n == 0:
+    off = config.disable_likelihood or n == 0
 
-        def score(cols, p, a):
-            """Zero log factors, one per entry of a column (the agents
-            broadcast against a column)."""
+    def score(cols, p, a):
+        """Log factors of six step columns for agents p, a; 0 if ``off``."""
+        if off:
             return np.zeros(cols[0].shape)
+        return judge_steps(cols, p, a, env_arrays, params).log_factors
 
-        logf = np.zeros((chains, n))
-    else:
-
-        def score(cols, p, a):
-            """The log factors of six step columns for agents p, a."""
-            return judge_steps(cols, p, a, env_arrays, params).log_factors
-
-        logf = np.array([s[2].log_factors for s in starts])
-
-    def mh(d, sites):
-        """Accept by Metropolis-Hastings, with log ratios ``d`` at ``sites``."""
-        return u_accept[:, sites] < np.exp(np.minimum(d, 0.0))
-
-    # Agent values from the unit values of their two sites.
-    agent_scale = np.array(
-        [params.prior_politics_sd, params.analytic_high - params.analytic_low]
-    )
+    logf = np.zeros((chains, n)) if off else np.array([s[2].log_factors for s in starts])
+    prior_prob, walk_scale = config.prior_prob, config.walk_scale
+    if not off:
+        # Agent politics only walks, at the 1-D optimal scale for its sd.
+        prior_prob = np.array([0.0, prior_prob])
+        sd = math.sqrt(n) * params.prior_politics_sd
+        walk_scale = np.array([2.4 * params.likelihood_sd / sd, walk_scale])
+    # Agent values from the unit values of its two sites.
+    agent_scale = np.array([params.prior_politics_sd, params.analytic_high - params.analytic_low])
     flip_q = 0.5 * (1.0 - (1.0 - 2.0 * config.flip_prob) ** length)
-    iterations = config.iterations
-    thin = config.thin
-
+    iterations, thin = config.iterations, config.thin
     kept = np.empty((chains, config.kept_per_chain, 2))
     n_kept = 0
     next_keep = config.burn_in + thin - 1
-    n_acc = np.zeros((chains, 1), dtype=np.int64)
+    proposed = [0] * len(BRANCHES)
+    accepted = np.zeros((chains, len(BRANCHES)), dtype=np.int64)
     n_flips = np.zeros((chains, 1), dtype=np.int64)
-    step_acc = np.zeros((chains, n), dtype=np.int64)
     for first in range(0, iterations, length):
         todo = min(length, iterations - first)
         for rng, u, z in zip(rngs, u_draws, z_draws):
             rng.random(out=u)
             rng.standard_normal(out=z)
 
-        # Every site's proposal reads only its own value, which holds until
-        # its turn in the scan, so all are made up front, in scan order.
-        prior = u_draws[:, :length] < config.prior_prob
-        walk = state + config.walk_scale * z_draws
-        fresh = np.where(normal, z_draws, u_draws[:, length : 2 * length])
-        proposals = np.where(prior, fresh, np.where(normal, walk, reflect_units(walk)))
-        corrs = np.where(normal & ~prior, 0.5 * (state * state - walk * walk), 0.0)
-        moves = proposals[:, :2] * agent_scale
+        # Both agent proposals read only their own site, which holds until
+        # its turn, so both are made up front. Agent politics is a normal
+        # site, with the Gaussian prior correction on a walk; agent
+        # analytic a uniform one, reflected into [0, 1], with none.
+        prior = u_draws[:, 0:2] < prior_prob
+        units = state[:, :2]
+        walk = units + walk_scale * z_draws[:, :2]
+        corrs = np.where(prior | [False, True], 0.0, 0.5 * (units * units - walk * walk))
+        walk[:, 1] = reflect_units(walk[:, 1])
+        proposals = np.where(prior, z_draws[:, :2], walk)
+        np.copyto(proposals[:, 1], u_draws[:, 2], where=prior[:, 1])
+        moves = proposals * agent_scale
         moves[:, 1] += params.analytic_low
 
         # The agent sites, each rescoring every step. A kept sample is the
@@ -294,11 +294,13 @@ def run_chains(
         for site in range(min(2, todo)):
             trial = agent.copy()
             trial[:, site] = moves[:, site]
-            lf = score(block, trial[:, 0:1], trial[:, 1:2])
+            lf = score(step_cols, trial[:, 0:1], trial[:, 1:2])
             new_total = lf.sum(axis=1, keepdims=True)
             at = slice(site, site + 1)
-            accept = mh((new_total - total) + corrs[:, at], at)
-            n_acc += accept
+            d = (new_total - total) + corrs[:, at]
+            accept = u_draws[:, 3 + site : 4 + site] < np.exp(np.minimum(d, 0.0))
+            proposed[site] += 1
+            accepted[:, at] += accept
             np.copyto(logf, lf, where=accept)
             total = np.where(accept, new_total, total)
             np.copyto(state[:, at], proposals[:, at], where=accept)
@@ -310,62 +312,57 @@ def run_chains(
                 n_kept += times
                 next_keep += times * thin
 
-        # The six step columns, each step accepted on its own.
-        for col in range(6):
-            lo = 2 + col * n
-            if lo >= todo:
-                break
-            at = slice(lo, lo + n)
-            new = proposals[:, at]
-            cols = block.copy()
-            cols[col] = new
-            lf = score(cols, agent[:, 0:1], agent[:, 1:2])
-            accept = mh((lf - logf) + corrs[:, at], at)
-            if todo - lo < n:
-                accept[:, todo - lo :] = False
-            step_acc += accept
-            np.copyto(block[col], new, where=accept)
-            np.copyto(logf, lf, where=accept)
+        # Every step's block by i-SIR: index 0 of ``blocks`` is the current
+        # block, 1 to K the candidates, each (C, N, 6) in layout order.
+        updated = min(n, (todo - 2) // 6)
+        if updated > 0:
+            cands = np.concatenate((cand_u[..., :2], cand_z, cand_u[..., 2:]), axis=3)
+            blocks = np.concatenate((steps[None], cands))
+            lf = score(np.moveaxis(cands, -1, 0), agent[:, 0:1], agent[:, 1:2])
+            logw = np.concatenate((logf[None], lf))
+            cum = np.exp(logw - logw.max(axis=0)).cumsum(axis=0)
+            pick = (cum[:-1] <= u_pick * cum[-1]).sum(axis=0)
+            pick[:, updated:] = 0
+            proposed[2] += updated
+            accepted[:, 2] += np.count_nonzero(pick, axis=1)
+            steps[...] = blocks[pick, chain_at, step_at]
+            logf = logw[pick, chain_at, step_at]
 
         if todo < length:
             break
-        flips = u_draws[:, 3 * length : 3 * length + 1] < flip_q
+        flips = u_draws[:, -2:-1] < flip_q
         if not flips.any():
             continue
         n_flips += flips
         # Without a side coin at 0.5 the flip is the exact mirror image and
         # keeps every step factor bitwise, so it is accepted. Otherwise the
         # chain's flipped state is scored on its own and accepted by MH.
-        scored = flips & np.any(block[_COL_SIDE] == 0.5, axis=1, keepdims=True)
+        scored = flips & np.any(steps[..., _COL_SIDE] == 0.5, axis=1, keepdims=True)
         for c in np.flatnonzero(scored):
-            mirror = state[c, 2:].reshape(6, n).copy()
+            mirror = steps[c].T.copy()
             mirror[_COL_SIDE] = 1.0 - mirror[_COL_SIDE]
             mirror[_COL_ZPOL] = -mirror[_COL_ZPOL]
             lf = score(mirror, -agent[c, 0], agent[c, 1])
             d = float(lf.sum()) - float(logf[c].sum())
-            if d >= 0.0 or u_draws[c, 3 * length + 1] < math.exp(d):
+            if d >= 0.0 or u_draws[c, -1] < math.exp(d):
                 logf[c] = lf
             else:
                 flips[c] = False
-        for site, mirrored in (
-            (state[:, 0:1], -state[:, 0:1]),
-            (agent[:, 0:1], -agent[:, 0:1]),
-            (block[_COL_SIDE], 1.0 - block[_COL_SIDE]),
-            (block[_COL_ZPOL], -block[_COL_ZPOL]),
-        ):
-            np.copyto(site, mirrored, where=flips)
+        np.copyto(state[:, 0:1], -state[:, 0:1], where=flips)
+        np.copyto(agent[:, 0:1], -agent[:, 0:1], where=flips)
+        np.copyto(steps[..., _COL_SIDE], 1.0 - steps[..., _COL_SIDE], where=flips)
+        np.copyto(steps[..., _COL_ZPOL], -steps[..., _COL_ZPOL], where=flips)
 
-    finals = np.empty_like(state)
-    finals[:, order] = state
-    n_acc += step_acc.sum(axis=1, keepdims=True)
     log_weights = logf.sum(axis=1)
     return [
         ChainResult(
             samples=kept[c],
             n_proposals=iterations,
-            n_accepted=int(n_acc[c, 0]),
+            n_accepted=int(accepted[c, 0] + accepted[c, 1] + 6 * accepted[c, 2]),
             n_flips=int(n_flips[c, 0]),
-            final_values=finals[c],
+            proposed_by_branch=tuple(proposed),
+            accepted_by_branch=tuple(map(int, accepted[c])),
+            final_values=state[c],
             final_log_weight=float(log_weights[c]),
             chain_seed=seed,
         )
@@ -422,6 +419,8 @@ def sample_posterior(
         n_proposals=sum(r.n_proposals for r in results),
         n_accepted=sum(r.n_accepted for r in results),
         n_flips=sum(r.n_flips for r in results),
+        proposed_by_branch=tuple(map(sum, zip(*(r.proposed_by_branch for r in results)))),
+        accepted_by_branch=tuple(map(sum, zip(*(r.accepted_by_branch for r in results)))),
     )
 
 

@@ -14,7 +14,8 @@ innovation, news contest draw, agent contest draw).
 ``judge_steps`` states the judgment math once, vectorized: it scores value
 columns for a given agent, and ``pipeline_from_values`` and the sampler's
 systematic scan both call it; the scan passes (C, N) columns and (C, 1)
-agents to score C chains at once. The independent statement the tests
+agents to score C chains at once, or (K, C, N) block candidates with the
+same agents. The independent statement the tests
 hold it to is ``benchmarks/refmodel.py``, which imports nothing from this
 package.
 """

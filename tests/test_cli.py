@@ -77,7 +77,7 @@ class TestConfigResolution:
         config = cli.load_config(args)
         assert config.cell_inference(1).n_chains == 256
         assert config.cell_inference(10).thin == 16
-        assert config.cell_inference(100).burn_in == 1_000_000
+        assert config.cell_inference(100).burn_in == 150_000
         # The base config is untouched for counts outside the schedule.
         assert config.cell_inference(5) == config.inference
 
@@ -470,19 +470,24 @@ class TestPoolSize:
         assert_same_artifacts(tmp_path / "a", tmp_path / "b")
 
     def test_only_the_long_cell_is_split(self, tmp_path, monkeypatch, pools):
-        """ME2 at 1, 10 and 100 observations: the N = 100 cell holds 83% of
-        the default budgets' scans, so at 2 processes it alone is cut in
-        two. Only the chain counts are cut, to keep the test short; the
-        split depends on the iterations alone."""
-        defaults = [(n, InferenceConfig(**cli.DEFAULT_SCHEDULE[n])) for n in (1, 10, 100)]
-        assert cli.cell_batches(2, defaults) == [1, 1, 2]
+        """ME2 at 1, 10 and 100 observations, with the N = 100 cell at 3M
+        iterations: it holds 83% of the scans, so at 2 processes it alone
+        is cut in two. Only the chain counts are cut, to keep the test
+        short; the split depends on the iterations alone."""
+        schedule = {
+            1: {"n_chains": 256, "iterations": 3_100, "burn_in": 100, "thin": 3},
+            10: {"n_chains": 128, "iterations": 40_000, "burn_in": 8_000, "thin": 16},
+            100: {"n_chains": 16, "iterations": 3_000_000, "burn_in": 1_000_000, "thin": 150},
+        }
+        budgets = [(n, InferenceConfig(**budget)) for n, budget in schedule.items()]
+        assert cli.cell_batches(2, budgets) == [1, 1, 2]
         monkeypatch.setattr(cli, "usable_cores", lambda: 2)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "environments": ["ME2"],
             "observation_counts": [1, 10, 100],
             "inference_by_n": {
-                str(n): {**budget, "n_chains": 2} for n, budget in cli.DEFAULT_SCHEDULE.items()
+                str(n): {**budget, "n_chains": 2} for n, budget in schedule.items()
             },
         }))
         argv = ["mcmc", "--config", str(config), "--seed", "5"]
@@ -521,10 +526,23 @@ class TestMcmcMode:
         assert set(manifest["cells"]) == {"ME1_1", "ME1_10"}
         cell = manifest["cells"]["ME1_1"]
         assert cell["kept_samples"] == 4 * 150
-        # Every iteration is a site proposal; flips follow full scans.
+        # Every iteration is a proposal; flips follow full scans.
         assert cell["proposals"] == 4 * 200
         assert 0 < cell["flips"] and 0 < cell["accepted"] <= cell["proposals"]
         assert cell["acceptance_rate"] == cell["accepted"] / cell["proposals"]
+        # 200 iterations at N = 1 are 25 scans of 8, each proposing at both
+        # agent sites and at the step's block, whose six iterations a move
+        # accepts.
+        branches = cell["acceptance_by_branch"]
+        assert list(branches) == ["agent_analytic", "agent_politics", "step_blocks"]
+        assert {b["proposed"] for b in branches.values()} == {4 * 25}
+        assert all(0 < b["accepted"] < b["proposed"] for b in branches.values())
+        assert all(b["rate"] == b["accepted"] / b["proposed"] for b in branches.values())
+        assert cell["accepted"] == (
+            branches["agent_politics"]["accepted"]
+            + branches["agent_analytic"]["accepted"]
+            + 6 * branches["step_blocks"]["accepted"]
+        )
         assert "oracle_csv" not in cell
         assert "tv" not in cell
         samples = (out / "ME1_1_samples.csv").read_text().splitlines()
@@ -704,7 +722,7 @@ class TestPrintConfig:
         assert run_cli("print-config") == 0
         config = json.loads(capsys.readouterr().out)
         assert config["environments"] == ["ME1", "ME2", "ME3"]
-        assert config["inference_by_n"]["100"]["iterations"] == 3_000_000
+        assert config["inference_by_n"]["100"]["iterations"] == 750_000
         assert config["workers"] == 1
         assert config["out_dir"] == "out"
 

@@ -1,4 +1,4 @@
-"""Tests for the systematic-scan MH sampler, its lock-step batches and its
+"""Tests for the systematic-scan sampler, its lock-step batches and its
 reference loop."""
 
 import itertools
@@ -41,12 +41,19 @@ from polarsim.model import (
     ModelParams,
 )
 from polarsim.trace import (
+    _env_arrays,
     init_trace,
     judge_steps,
     normal_site_mask,
     replay_values,
 )
-from reference_scan import reference_chain, reflect_unit
+from reference_scan import (
+    AGENT_ACCEPTS,
+    candidate_uniforms,
+    reference_chain,
+    scan_draws,
+    uniform_count,
+)
 
 PARAMS = ModelParams()
 
@@ -62,15 +69,6 @@ HARSH_PARAMS = replace(PARAMS, analytic_low=0.1)
 BELOW_HALF = 0.49999999999999994
 
 EDGES = np.linspace(-3.0, 3.0, 61)
-
-
-def sticky(u: float) -> float:
-    """``reflect_unit``, but landing on the fold (0.5 or the double below
-    it) from a band around it, so walks make scored flips."""
-    v = reflect_unit(u)
-    if 0.40 < v < 0.45:
-        return BELOW_HALF
-    return 0.5 if 0.45 <= v < 0.55 else v
 
 
 def bin_fractions(values):
@@ -220,43 +218,60 @@ class TestRunChain:
         assert ss.acceptance_rate > 0.9
 
 
+def counters(chain: ChainResult) -> tuple:
+    return (
+        chain.n_proposals,
+        chain.n_accepted,
+        chain.n_flips,
+        chain.proposed_by_branch,
+        chain.accepted_by_branch,
+    )
+
+
 def assert_same_chain(new: ChainResult, ref: ChainResult) -> None:
     """Bit for bit: samples, final state, final log weight and counters."""
     assert new.samples.shape == ref.samples.shape
     assert new.samples.tobytes() == ref.samples.tobytes()
     assert new.final_values.tobytes() == ref.final_values.tobytes()
     assert float(new.final_log_weight).hex() == float(ref.final_log_weight).hex()
-    assert (new.n_proposals, new.n_accepted, new.n_flips) == (
-        ref.n_proposals,
-        ref.n_accepted,
-        ref.n_flips,
-    )
+    assert counters(new) == counters(ref)
 
 
-def fresh_halves(n_obs: int):
-    """A stand-in for ``np.random.default_rng`` whose generators set every
-    uniform prior value at a step site to 0.5 in each scan's draws: in the
-    sampler's 3 (6N + 2) + 2 uniforms, and in the fresh row of the
-    reference loop's (3, 6N + 2) ones."""
+def planted_scan_draws(n_obs: int, plant):
+    """A stand-in for ``np.random.default_rng`` whose generators pass each
+    scan's uniforms, as the sampler and the reference loop both draw them
+    (``reference_scan.ScanDraws``), through ``plant`` first."""
     default_rng = np.random.default_rng
-    length = 6 * n_obs + 2
 
-    class Halves:
+    class Planted:
         def __init__(self, seed):
             self.rng = default_rng(seed)
 
         def random(self, size=None, out=None):
             u = self.rng.random(size, out=out)
-            if u.size == 3 * length + 2:
-                u[length + 2 : 2 * length] = 0.5
-            elif u.shape == (3, length):
-                u[1, 2:] = 0.5
+            if u.size == uniform_count(n_obs):
+                plant(u)
             return u
 
         def standard_normal(self, size=None, out=None):
             return self.rng.standard_normal(size, out=out)
 
-    return Halves
+    return Planted
+
+
+def candidate_sides(u: np.ndarray, n_obs: int) -> np.ndarray:
+    """The side coins of every candidate of a scan's uniforms, as an (N, K)
+    view."""
+    return candidate_uniforms(u, n_obs)[..., 1]
+
+
+def fresh_halves(n_obs: int):
+    """Generators whose every candidate side coin is 0.5."""
+
+    def plant(u):
+        candidate_sides(u, n_obs)[...] = 0.5
+
+    return planted_scan_draws(n_obs, plant)
 
 
 # Signed zeros, subnormals, and magnitudes far apart enough that the
@@ -358,9 +373,9 @@ KERNELS = list(itertools.product((0.0, 0.05, 0.5), (0.0, 0.7), (False, True)))
 
 
 # A coin at 0.5 makes the next flip a scored one; a coin just below it
-# lands on 0.5 by an exact flip. Coins leave the fold when a proposal at
-# them is accepted, which the scan makes before its first flip, so only
-# some chains make a scored flip; over these, some do at every N tested.
+# lands on 0.5 by an exact flip. Coins leave the fold when their step's
+# block moves, which the scan may do before its first flip, so only some
+# chains make a scored flip; over these, some do at every N tested.
 FOLD_COINS = pytest.mark.parametrize("coin", [0.5, BELOW_HALF], ids=["half", "below_half"])
 FOLD_CONFIGS = [dict(seed=seed) for seed in range(8)] + [
     dict(seed=4, flip_prob=0.5),
@@ -368,12 +383,16 @@ FOLD_CONFIGS = [dict(seed=seed) for seed in range(8)] + [
 ]
 
 
-def planted(coin: float):
-    """``init_trace`` with every side coin set to ``coin``."""
+def planted(coin: float, some_chains: bool = False):
+    """``init_trace`` with every side coin set to ``coin``; with
+    ``some_chains``, only in chains whose agent analytic starts below the
+    middle of its range, so that the other chains never make a scored
+    flip."""
 
     def init(n, rng):
         values = init_trace(n, rng)
-        values[3::6] = coin
+        if not some_chains or values[1] < 0.5:
+            values[3::6] = coin
         return values
 
     return init
@@ -386,24 +405,20 @@ def assert_matches_reference(new: ChainResult, ref: ChainResult) -> None:
     assert new.samples.tobytes() == ref.samples.tobytes()
     assert new.final_values.tobytes() == ref.final_values.tobytes()
     assert new.final_log_weight == pytest.approx(ref.final_log_weight, abs=1e-9)
-    assert (new.n_proposals, new.n_accepted, new.n_flips) == (
-        ref.n_proposals,
-        ref.n_accepted,
-        ref.n_flips,
-    )
+    assert counters(new) == counters(ref)
 
 
 class TestScanMatchesReferenceLoop:
     """At every N, run_chain, a lock-step batch of one, makes the decisions
     of the per-proposal loop of tests/reference_scan.py, which scores every
-    proposal by a full replay."""
+    agent proposal and every block's weights by a full replay."""
 
     @ENVIRONMENTS
     @pytest.mark.parametrize(
         "n_obs", [0, 1, 7, 8, 15, 16, 17, 24, 45, 46, 51, 52, 71, 72, 100]
     )
     def test_equal_chains(self, env, params, n_obs):
-        # 2,000 iterations end the last scan inside a step column from N = 7
+        # 2,000 iterations end the last scan inside a step's block from N = 7
         # up (at N = 0 and 1 they end with a full scan).
         for k, (flip_prob, prior_prob, prior_only) in enumerate(KERNELS):
             cfg = InferenceConfig(
@@ -440,27 +455,34 @@ class TestScanMatchesReferenceLoop:
 
     @pytest.mark.parametrize("prior_only", [False, True])
     @pytest.mark.parametrize("n_obs", [5, 16, 40, 72])
-    def test_walks_onto_the_fold_take_the_scored_flip(self, monkeypatch, n_obs, prior_only):
-        monkeypatch.setattr(
-            polarsim.inference, "reflect_units", np.vectorize(sticky, otypes=[float])
-        )
-        monkeypatch.setattr(reference_scan, "reflect_unit", sticky)
+    def test_a_fresh_side_coin_at_the_fold_takes_the_scored_flip(
+        self, monkeypatch, n_obs, prior_only
+    ):
+        # In every scan the first candidate of the last step draws its side
+        # coin at exactly 0.5; once a block update takes it, the next flip
+        # is scored.
+        def plant(u):
+            candidate_sides(u, n_obs)[-1, 0] = 0.5
+
+        monkeypatch.setattr(np.random, "default_rng", planted_scan_draws(n_obs, plant))
+        calls = count_scored_flips(monkeypatch)
         cfg = InferenceConfig(
-            n_chains=1, iterations=4000, burn_in=100, seed=8, prior_prob=0.0,
-            flip_prob=0.3, disable_likelihood=prior_only,
+            n_chains=1, iterations=4000, burn_in=100, seed=8, flip_prob=0.3,
+            disable_likelihood=prior_only,
         )
         ref, scored = reference_chain(ME2, PARAMS, n_obs, cfg, 0)
         assert scored > 0
-        assert_matches_reference(run_chain(ME2, PARAMS, n_obs, cfg, 0), ref)
+        chain = run_chain(ME2, PARAMS, n_obs, cfg, 0)
+        assert_matches_reference(chain, ref)
+        # With the likelihood off nothing is scored.
+        assert len(calls) == (0 if prior_only else scored)
 
     @pytest.mark.parametrize("n_obs", [5, 40])
     def test_prior_draws_onto_the_fold(self, monkeypatch, n_obs):
-        # Every uniform prior draw at a step site is 0.5, so side coins
-        # land on the fold through the prior branch alone.
+        # Every candidate's side coin is 0.5, so side coins land on the fold
+        # through block updates alone.
         monkeypatch.setattr(np.random, "default_rng", fresh_halves(n_obs))
-        cfg = InferenceConfig(
-            n_chains=1, iterations=3000, burn_in=100, seed=9, prior_prob=1.0, flip_prob=0.3
-        )
+        cfg = InferenceConfig(n_chains=1, iterations=3000, burn_in=100, seed=9, flip_prob=0.3)
         ref, scored = reference_chain(ME2, PARAMS, n_obs, cfg, 0)
         assert scored > 0
         chain = run_chain(ME2, PARAMS, n_obs, cfg, 0)
@@ -532,16 +554,19 @@ class TestScanMatchesReferenceLoop:
                     sum(r.n_accepted for r in manual),
                     sum(r.n_flips for r in manual),
                 )
+                assert run.accepted_by_branch == tuple(
+                    sum(r.accepted_by_branch[b] for r in manual) for b in range(3)
+                )
 
 
 def count_scored_flips(monkeypatch) -> list:
     """Record each mirror flip the sampler scores on its own: a
     ``judge_steps`` call on one chain's (6, N) array, where every other call
-    scores a batch's six (C, N) columns, passed as a list."""
+    scores a batch's (6, C, N) steps or (6, K, C, N) candidates."""
     calls = []
 
     def counted(cols, *args):
-        if isinstance(cols, np.ndarray):
+        if cols.ndim == 2:
             calls.append(cols.shape)
         return judge_steps(cols, *args)
 
@@ -558,11 +583,12 @@ def assert_weight_is_replay(chain: ChainResult, env, params, n_obs: int) -> None
 
 class TestEvaluatorsAgree:
     """The sampler's two evaluations of a chain's log weight are the same
-    bit for bit: the incremental one, which rescores a proposal's site in
-    the batch's (C, N) columns (or a scored mirror flip on its own) and
-    keeps the factors of accepted ones, and a full replay of the chain's
-    final values (``replay_values``), which scores every step at once.
-    (TestRunChain checks the replay to 1e-9 over longer chains.)"""
+    bit for bit: the incremental one, which scores agent proposals against
+    the batch's steps and block candidates in the batch's (K, C, N) array
+    (or a scored mirror flip on its own) and keeps the factors of the
+    states taken, and a full replay of the chain's final values
+    (``replay_values``), which scores every step at once. (TestRunChain
+    checks the replay to 1e-9 over longer chains.)"""
 
     @ENVIRONMENTS
     @pytest.mark.parametrize("n_obs", [0, 1, 7, 8, 16, 45, 46, 47, 51, 52])
@@ -597,14 +623,16 @@ class TestEvaluatorsAgree:
     @pytest.mark.parametrize("n_obs", [3, 15, 16, 40, 45, 46, 51, 52])
     def test_planted_fold_coins(self, monkeypatch, coin, n_obs):
         # Each budget ends with a scan's mirror flip, so the factors of a
-        # scored flip are the last the chain keeps.
+        # scored flip are the last the chain keeps. A coin just below the
+        # fold reaches it by a flip, and is scored by a later one only if
+        # its block is kept in between, so the budgets run to six scans.
         monkeypatch.setattr(polarsim.inference, "init_trace", planted(coin))
         calls = count_scored_flips(monkeypatch)
         length = 6 * n_obs + 2
         for kwargs in FOLD_CONFIGS:
             if kwargs.get("disable_likelihood"):
                 continue  # No log weight is kept.
-            for scans in (1, 2, 3):
+            for scans in range(1, 7):
                 cfg = InferenceConfig(n_chains=1, iterations=scans * length, burn_in=0, **kwargs)
                 chain = run_chain(ME2, PARAMS, n_obs, cfg, 0)
                 assert_weight_is_replay(chain, ME2, PARAMS, n_obs)
@@ -612,15 +640,14 @@ class TestEvaluatorsAgree:
 
     @pytest.mark.parametrize("n_obs", [5, 40])
     def test_prior_draws_onto_the_fold(self, monkeypatch, n_obs):
-        # Every uniform prior draw at a step site is 0.5, so side coins
-        # land on the fold through the prior branch alone.
+        # Every candidate's side coin is 0.5, so side coins land on the fold
+        # through block updates alone.
         monkeypatch.setattr(np.random, "default_rng", fresh_halves(n_obs))
         # The budget ends with a scan's mirror flip.
         calls = count_scored_flips(monkeypatch)
         length = 6 * n_obs + 2
         cfg = InferenceConfig(
-            n_chains=1, iterations=3000 // length * length, burn_in=100, seed=9,
-            prior_prob=1.0, flip_prob=0.3,
+            n_chains=1, iterations=3000 // length * length, burn_in=100, seed=9, flip_prob=0.3,
         )
         chain = run_chain(ME2, PARAMS, n_obs, cfg, 0)
         assert len(calls) > 0
@@ -657,8 +684,8 @@ class TestBatchInvariance:
     @ENVIRONMENTS
     @pytest.mark.parametrize("n_obs", [0, 1, 10, 51, 52, 100])
     def test_each_chain_is_the_chain_alone(self, env, params, n_obs):
-        # The budget ends in the third step column, halfway through it from
-        # N = 2 up.
+        # The budget ends inside a step's block, five twelfths of the way
+        # through the steps from N = 2 up.
         length = 6 * n_obs + 2
         iterations = max(2, 200 // length) * length + 2 + 2 * n_obs + n_obs // 2
         for k, (flip_prob, prior_prob, prior_only) in enumerate(KERNELS):
@@ -690,8 +717,9 @@ class TestBatchInvariance:
         # The reference loop counts each chain's scored flips; in some batch
         # some chains make one and some do not. A batch is mixed as soon as
         # both kinds of chain are seen.
-        monkeypatch.setattr(polarsim.inference, "init_trace", planted(coin))
-        monkeypatch.setattr(reference_scan, "init_trace", planted(coin))
+        init = planted(coin, some_chains=True)
+        monkeypatch.setattr(polarsim.inference, "init_trace", init)
+        monkeypatch.setattr(reference_scan, "init_trace", init)
         mixed = 0
         for seed in range(4):
             cfg = InferenceConfig(
@@ -796,6 +824,34 @@ class TestSamplePosterior:
         assert 1.2 < ratio < 3.4
 
 
+def freeze_agent(monkeypatch, n_obs: int, politics_unit: float, analytic_unit: float) -> None:
+    """Start every chain with its agent sites at the given unit values and
+    reject every agent proposal, by accept draws of 1.0, so that only the
+    step blocks move."""
+
+    def init(n, rng):
+        values = init_trace(n, rng)
+        values[:2] = politics_unit, analytic_unit
+        return values
+
+    def plant(u):
+        u[AGENT_ACCEPTS] = 1.0
+
+    monkeypatch.setattr(polarsim.inference, "init_trace", init)
+    monkeypatch.setattr(np.random, "default_rng", planted_scan_draws(n_obs, plant))
+
+
+def weighted_ks(sample: np.ndarray, points: np.ndarray, weights: np.ndarray) -> float:
+    """Largest gap between the empirical CDF of ``sample`` and the CDF of
+    ``points`` weighted by ``weights``, which sum to 1."""
+    at = np.concatenate((sample, points))
+    sample_cdf = np.searchsorted(np.sort(sample), at, side="right") / sample.size
+    order = np.argsort(points)
+    cum = np.concatenate(([0.0], np.cumsum(weights[order])))
+    weighted_cdf = cum[np.searchsorted(points[order], at, side="right")]
+    return float(np.abs(sample_cdf - weighted_cdf).max())
+
+
 class TestAgainstOracle:
     def test_n1_posterior_matches_quadrature(self):
         cfg = InferenceConfig(
@@ -863,3 +919,64 @@ class TestAgainstOracle:
         ob = np.diff(cdf)
         tv = 0.5 * (np.abs(sb - ob).sum() + abs(sout - (1.0 - ob.sum())))
         assert tv < 0.02
+
+    def test_frozen_agent_block_update_matches_step_conditional(self, monkeypatch):
+        # With the agent frozen, the block update alone must have the step's
+        # conditional density (prior times the step factor) as its
+        # stationary law. The law of p_judged under it is taken from
+        # 400,000 prior draws of a block weighted by their step factors;
+        # 20,000 chains of 12 scans each give draws of the update's law.
+        agent = (0.6, 0.7)  # unit values 0.6 and 0.4
+        freeze_agent(monkeypatch, 1, 0.6, 0.4)
+        cfg = InferenceConfig(n_chains=20_000, iterations=96, burn_in=95, seed=51, flip_prob=0.0)
+        finals = np.array([r.final_values for r in run_chains(ME2, PARAMS, 1, cfg, range(20_000))])
+        assert np.all(finals[:, :2] == (0.6, 0.4))
+        env_arrays = _env_arrays(ME2)
+        judged = judge_steps(finals[:, 2:].T, *agent, env_arrays, PARAMS).p_judged
+
+        rng = np.random.default_rng(52)
+        size = 400_000
+        unit = [rng.random(size) for _ in range(4)]
+        blocks = [unit[0], unit[1], rng.standard_normal(size), rng.standard_normal(size), *unit[2:]]
+        prior = judge_steps(blocks, *agent, env_arrays, PARAMS)
+        weights = np.exp(prior.log_factors - prior.log_factors.max())
+        weights /= weights.sum()
+        assert weighted_ks(judged, prior.p_judged, weights) < 0.02
+        # The step factor moves the law well away from the prior's.
+        assert weighted_ks(judged, prior.p_judged, np.full(size, 1.0 / size)) > 0.1
+
+    def test_block_choices_follow_normalised_weights_far_from_the_likelihood(self, monkeypatch):
+        # At likelihood_sd 0.02 with agent politics at 3, the step factors
+        # of the current block and the candidates mostly underflow to 0.
+        # Normalised by their maximum the weights are finite, and a block
+        # update must choose each of the three as often as they say.
+        params = replace(PARAMS, likelihood_sd=0.02)
+        chains = 4000
+        cfg = InferenceConfig(n_chains=chains, iterations=8, burn_in=7, seed=61, flip_prob=0.0)
+        env_arrays = _env_arrays(ME2)
+        options, log_factors = [], []
+        for i in range(chains):
+            rng = np.random.default_rng(derive_chain_seed(cfg.seed, i))
+            values = init_trace(1, rng)
+            draws = scan_draws(rng, 1)
+            blocks = np.vstack((values[2:], draws.candidates[0]))
+            options.append(blocks)
+            log_factors.append(judge_steps(blocks.T, 3.0, 0.7, env_arrays, params).log_factors)
+        log_factors = np.array(log_factors)
+        # Most chains are in the regime the normalisation is for.
+        assert np.mean(np.exp(log_factors).max(axis=1) == 0.0) > 0.5
+        weights = np.exp(log_factors - log_factors.max(axis=1, keepdims=True))
+        assert np.all(np.isfinite(weights))
+        probs = weights / weights.sum(axis=1, keepdims=True)
+
+        freeze_agent(monkeypatch, 1, 3.0, 0.4)
+        results = run_chains(ME2, params, 1, cfg, range(chains))
+        picks = []
+        for blocks, result in zip(options, results):
+            assert math.isfinite(result.final_log_weight)
+            (match,) = np.flatnonzero((blocks == result.final_values[2:]).all(axis=1))
+            picks.append(match)
+        counts = np.bincount(picks, minlength=3)
+        expected = probs.sum(axis=0)
+        sd = np.sqrt((probs * (1.0 - probs)).sum(axis=0))
+        assert np.all(np.abs(counts - expected) <= 4.0 * sd + 1.0)

@@ -335,7 +335,8 @@ class TestSamplesCsv:
         # SampleSet.politics is the strided first column of the samples.
         samples = np.column_stack([politics, np.arange(politics.size, dtype=float)])
         sample_set = inference.SampleSet(
-            samples=samples, n_proposals=0, n_accepted=0, n_flips=0
+            samples=samples, n_proposals=0, n_accepted=0, n_flips=0,
+            proposed_by_branch=(0, 0, 0), accepted_by_branch=(0, 0, 0),
         )
         assert sample_set.politics.strides == samples.strides[:1]
         with tempfile.TemporaryDirectory() as tmp:
